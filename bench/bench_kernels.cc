@@ -64,7 +64,6 @@
 #include "obs/metrics_emitter.h"
 #include "obs/stat_registry.h"
 #include "runtime/engine_factory.h"
-#include "runtime/sharded_stepper.h"
 #include "runtime/worker_team.h"
 #include "util/cli.h"
 #include "util/logging.h"
@@ -72,6 +71,18 @@
 
 namespace cenn {
 namespace {
+
+/** Builds `engine` at `precision` on kernel path `path`. */
+std::unique_ptr<Engine>
+Build(const SolverProgram& program, const char* engine,
+      const std::string& precision, const char* path = "auto")
+{
+  ExecPolicy policy;
+  policy.engine = engine;
+  policy.precision = precision;
+  policy.kernel_path = path;
+  return BuildEngine(program, policy);
+}
 
 std::vector<int>
 ParseShardList(const std::string& list)
@@ -245,30 +256,23 @@ BenchMain(int argc, char** argv)
   // held to bit-identity with the reference.
   const bool comparable = precision != "float";
   if (comparable) {
-    EngineRequest req;
-    req.engine = "functional";
-    req.precision = precision;
-    variants.push_back({"functional", BuildEngine(program, req), serial});
+    variants.push_back(
+        {"functional", Build(program, "functional", precision), serial});
   }
   for (const char* path : {"scalar", "blocked", "simd"}) {
-    EngineRequest req;
-    req.engine = "soa";
-    req.precision = precision;
-    if (!ParseKernelPath(path, &req.kernel_path)) {
-      CENN_FATAL("bad kernel path '", path, "'");
-    }
     variants.push_back({std::string("soa/") + path,
-                        BuildEngine(program, req), serial, comparable});
+                        Build(program, "soa", precision, path), serial,
+                        comparable});
   }
   for (const int k : shard_counts) {
-    EngineRequest req;
-    req.engine = "soa";
-    req.precision = precision;
-    req.kernel_path = KernelPath::kBlocked;
+    // A one-shot team per call: workers spawn and join every Run.
     variants.push_back(
-        {"soa/blocked x" + std::to_string(k), BuildEngine(program, req),
+        {"soa/blocked x" + std::to_string(k),
+         Build(program, "soa", precision, "blocked"),
          [k](Engine* engine, std::uint64_t n) {
-           RunSharded(engine, n, k);
+           TeamOptions options;
+           options.shards = k;
+           ShardTeam(engine, options).Run(n);
          },
          comparable});
   }
@@ -276,13 +280,10 @@ BenchMain(int argc, char** argv)
     // The fused path: persistent simd worker team, built lazily on
     // first use and resident across the warm-up and timed regions —
     // exactly what --exec=soa:simd:shards=K runs in a session.
-    EngineRequest req;
-    req.engine = "soa";
-    req.precision = precision;
-    req.kernel_path = KernelPath::kSimd;
     auto team = std::make_shared<std::unique_ptr<ShardTeam>>();
     variants.push_back(
-        {"soa/simd team x" + std::to_string(k), BuildEngine(program, req),
+        {"soa/simd team x" + std::to_string(k),
+         Build(program, "soa", precision, "simd"),
          [k, team](Engine* engine, std::uint64_t n) {
            if (*team == nullptr) {
              TeamOptions options;
@@ -406,14 +407,8 @@ BenchMain(int argc, char** argv)
   // bit-for-bit. Skipped on the generic backend — its scalar-width
   // "vectors" exist for portability, not speed.
   if (check && std::strcmp(SimdIsaName(), "generic") != 0) {
-    EngineRequest blocked_req;
-    blocked_req.engine = "soa";
-    blocked_req.precision = "double";
-    blocked_req.kernel_path = KernelPath::kBlocked;
-    EngineRequest simd_req = blocked_req;
-    simd_req.kernel_path = KernelPath::kSimd;
-    const auto blocked_engine = BuildEngine(program, blocked_req);
-    const auto simd_engine = BuildEngine(program, simd_req);
+    const auto blocked_engine = Build(program, "soa", "double", "blocked");
+    const auto simd_engine = Build(program, "soa", "double", "simd");
     const auto timed = [](Engine* engine, std::uint64_t n) {
       const auto start = std::chrono::steady_clock::now();
       engine->Run(n);
@@ -492,12 +487,9 @@ BenchMain(int argc, char** argv)
       gate_mc.cols = std::max<std::size_t>(mc.cols, 256);
       const SolverProgram gate_program =
           MakeProgram(*MakeModel(model_name, gate_mc));
-      EngineRequest req;
-      req.engine = "soa";
-      req.precision = "double";
-      req.kernel_path = KernelPath::kSimd;
-      const auto serial_engine = BuildEngine(gate_program, req);
-      const auto fused_engine = BuildEngine(gate_program, req);
+      const auto serial_engine =
+          Build(gate_program, "soa", "double", "simd");
+      const auto fused_engine = Build(gate_program, "soa", "double", "simd");
       TeamOptions team_options;
       team_options.shards = 4;
       ShardTeam team(fused_engine.get(), team_options);
@@ -704,12 +696,8 @@ BenchMain(int argc, char** argv)
   // measured under --check: the multi-second gate has no place in the
   // plain smoke run.
   if (check) {
-    EngineRequest req;
-    req.engine = "soa";
-    req.precision = "fixed";
-    req.kernel_path = KernelPath::kBlocked;
     HealthGuard guard;
-    const auto engine = BuildEngine(program, req);
+    const auto engine = Build(program, "soa", "fixed", "blocked");
     const auto timed = [&](HealthGuard* sink, std::uint64_t n) {
       ScopedSatCounter sat(sink);
       const auto start = std::chrono::steady_clock::now();
@@ -770,11 +758,7 @@ BenchMain(int argc, char** argv)
   // land inside every timed region; same ABBA-interleaved,
   // order-split-median protocol as the gates above.
   if (check) {
-    EngineRequest req;
-    req.engine = "soa";
-    req.precision = "fixed";
-    req.kernel_path = KernelPath::kBlocked;
-    const auto engine = BuildEngine(program, req);
+    const auto engine = Build(program, "soa", "fixed", "blocked");
     StatRegistry registry;
     engine->BindStats(&registry, "");
     const std::string sink = "bench_kernels_overhead.metrics.jsonl";

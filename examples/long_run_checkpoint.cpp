@@ -70,7 +70,11 @@ main(int argc, char** argv)
     engine.Run(static_cast<std::uint64_t>(segment));
     SaveBytes(file, SerializeCheckpoint(CaptureCheckpoint(engine)));
     // Simulate a process restart: fresh engine, restore from disk.
-    const Checkpoint cp = DeserializeCheckpoint(LoadBytes(file));
+    Checkpoint cp;
+    std::string error;
+    if (!DeserializeCheckpoint(LoadBytes(file), &cp, &error)) {
+      CENN_FATAL(error);
+    }
     MultilayerCenn<Fixed32> resumed(spec);
     RestoreCheckpoint(cp, &resumed);
     engine = std::move(resumed);

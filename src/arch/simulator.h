@@ -75,7 +75,7 @@ class ArchSimulator final : public cenn::Engine
      * @name Engine interface
      * The cycle-level model steps serially (a hardware step is one
      * pipelined pass, not a band-split loop), so SupportsBands stays
-     * false and RunSharded falls back to Run().
+     * false and ShardTeam falls back to Run().
      */
     ///@{
 

@@ -14,7 +14,7 @@
  *  - ArchSimulator (src/arch): the cycle-level accelerator model
  *    ("arch").
  *
- * Callers that orchestrate engines — SolverSession, RunSharded, the
+ * Callers that orchestrate engines — SolverSession, ShardTeam, the
  * batch runner, the command-line tools — program against this
  * interface only, so adding a backend never adds a dispatch branch
  * to the runtime.
@@ -81,61 +81,6 @@ class Engine
 
     /** Serial publish: swap buffers, apply resets, count the step. */
     virtual void Publish();
-
-    ///@}
-
-    /**
-     * @name Band cloning and row state I/O (temporal blocking)
-     * Optional capability behind ShardTeam's temporal-blocking mode
-     * (runtime/worker_team.h): a worker steps a private clone of its
-     * row band (plus halo margin) for T Euler steps per cache
-     * residency, exchanging rows with the main engine as lossless
-     * f64. Engines that do not implement these return nullptr/false
-     * and the team falls back to classic two-phase stepping.
-     */
-    ///@{
-
-    /**
-     * Builds a private engine over rows `rows[i]` of this engine's
-     * grid (same columns, couplings, evaluator and kernel path; the
-     * map handles periodic wrap, so entries need not be contiguous).
-     * The clone's state starts zeroed — callers copy rows in through
-     * WriteStateRows. Default: nullptr (unsupported).
-     */
-    virtual std::unique_ptr<Engine>
-    MakeBandClone(std::span<const std::size_t> rows) const
-    {
-        (void)rows;
-        return nullptr;
-    }
-
-    /**
-     * Copies state rows [row_begin, row_begin + row_count) of `layer`
-     * into `out` (row-major f64, row_count * cols values). Returns
-     * false when the engine does not expose row state.
-     */
-    virtual bool
-    ReadStateRows(int layer, std::size_t row_begin, std::size_t row_count,
-                  std::span<double> out) const
-    {
-        (void)layer;
-        (void)row_begin;
-        (void)row_count;
-        (void)out;
-        return false;
-    }
-
-    /** Inverse of ReadStateRows: replaces the rows from f64 values. */
-    virtual bool
-    WriteStateRows(int layer, std::size_t row_begin, std::size_t row_count,
-                   std::span<const double> values)
-    {
-        (void)layer;
-        (void)row_begin;
-        (void)row_count;
-        (void)values;
-        return false;
-    }
 
     ///@}
 
@@ -208,7 +153,7 @@ class Engine
     /**
      * @name LUT traffic accounting
      * Same hosting pattern as the health guard: drivers attach a
-     * LutTrafficSink (src/lut) and stepping scopes — RunSharded's
+     * LutTrafficSink (src/lut) and stepping scopes — ShardTeam's
      * band workers, SolverSession slices, the serial tool loops —
      * install a ScopedLutTally against it, so off-chip LUT
      * access/hit counts aggregate per engine. The engine never

@@ -22,7 +22,6 @@
 namespace cenn {
 
 class LutBank;     // src/lut — only ever carried as an opaque handle
-class OffChipLut;  // src/lut — only ever carried as an opaque pointer
 
 /** A function evaluator specialized ("bound") to one l(.). */
 template <typename T>
@@ -81,13 +80,6 @@ struct FactorVecInfo {
   /** The bound fn is the LUT delta-form cubic over this table
       (double engines only); see LutView. */
   LutView lut_view;
-
-  /**
-   * @deprecated The concrete table behind lut_view, kept one PR so
-   * out-of-tree callers migrate; the kernels no longer read it.
-   * Removed next PR.
-   */
-  const OffChipLut* lut = nullptr;
 };
 
 /** Evaluates l(x) for CeNN scalars of type T. */

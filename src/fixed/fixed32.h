@@ -130,22 +130,27 @@ class Fixed32
     /** Floor of the value as an integer (arithmetic shift). */
     std::int32_t FloorInt() const { return raw_ >> kFracBits; }
 
+    // The arithmetic operators are the Q16.16 datapath of every
+    // Fixed32 kernel, so they are forced inline: GCC's per-file
+    // inlining budget otherwise decides, and a smaller source file can
+    // leave them as per-cell calls.
+
     /** Saturating addition. */
-    constexpr Fixed32
+    [[gnu::always_inline]] constexpr Fixed32
     operator+(Fixed32 o) const
     {
       return FromRaw(SaturateRaw(static_cast<std::int64_t>(raw_) + o.raw_));
     }
 
     /** Saturating subtraction. */
-    constexpr Fixed32
+    [[gnu::always_inline]] constexpr Fixed32
     operator-(Fixed32 o) const
     {
       return FromRaw(SaturateRaw(static_cast<std::int64_t>(raw_) - o.raw_));
     }
 
     /** Saturating Q16.16 multiplication with round-to-nearest. */
-    constexpr Fixed32
+    [[gnu::always_inline]] constexpr Fixed32
     operator*(Fixed32 o) const
     {
       // 32x32 -> 64-bit product; shift back by 16 with round-to-nearest
@@ -159,7 +164,7 @@ class Fixed32
     Fixed32 operator/(Fixed32 o) const;
 
     /** Saturating negation (-Min() saturates to Max()). */
-    constexpr Fixed32
+    [[gnu::always_inline]] constexpr Fixed32
     operator-() const
     {
       return FromRaw(SaturateRaw(-static_cast<std::int64_t>(raw_)));

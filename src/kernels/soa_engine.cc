@@ -624,97 +624,6 @@ SoaEngine<T>::RestoreState(int layer, std::span<const double> values)
   state_.PlaneFromDoubles(layer, values);
 }
 
-template <typename T>
-std::unique_ptr<Engine>
-SoaEngine<T>::MakeBandClone(std::span<const std::size_t> rows) const
-{
-  if constexpr (std::is_same_v<T, Fixed32>) {
-    (void)rows;
-    return nullptr;
-  } else {
-    CENN_ASSERT(!rows.empty(), "MakeBandClone: empty row map");
-    for (std::size_t r : rows) {
-      CENN_ASSERT(r < spec_.rows, "MakeBandClone: row ", r, " out of ",
-                  spec_.rows);
-    }
-    NetworkSpec band = spec_;
-    band.rows = rows.size();
-    band.name = spec_.name + ".band";
-    // Initial state and input are re-seeded below from the live
-    // fields (they are sized for the full grid and would fail
-    // Validate at band geometry).
-    for (LayerSpec& layer : band.layers) {
-      layer.initial_state.clear();
-      layer.input.clear();
-    }
-    auto clone = std::make_unique<SoaEngine<T>>(band, evaluator_, path_);
-    std::vector<double> plane(rows.size() * spec_.cols);
-    for (int l = 0; l < spec_.NumLayers(); ++l) {
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const T* src = input_.Row(l, rows[i]);
-        double* dst = plane.data() + i * spec_.cols;
-        for (std::size_t c = 0; c < spec_.cols; ++c) {
-          dst[c] = NumTraits<T>::ToDouble(src[c]);
-        }
-      }
-      clone->SetInput(l, plane);
-    }
-    return clone;
-  }
-}
-
-template <typename T>
-bool
-SoaEngine<T>::ReadStateRows(int layer, std::size_t row_begin,
-                            std::size_t row_count,
-                            std::span<double> out) const
-{
-  CENN_ASSERT(layer >= 0 && layer < spec_.NumLayers(), "bad layer ", layer);
-  CENN_ASSERT(row_begin + row_count <= spec_.rows, "ReadStateRows: rows [",
-              row_begin, ", ", row_begin + row_count, ") out of ",
-              spec_.rows);
-  CENN_ASSERT(out.size() >= row_count * spec_.cols,
-              "ReadStateRows: output span too small");
-  for (std::size_t i = 0; i < row_count; ++i) {
-    const T* src = state_.Row(layer, row_begin + i);
-    double* dst = out.data() + i * spec_.cols;
-    for (std::size_t c = 0; c < spec_.cols; ++c) {
-      dst[c] = NumTraits<T>::ToDouble(src[c]);
-    }
-  }
-  return true;
-}
-
-template <typename T>
-bool
-SoaEngine<T>::WriteStateRows(int layer, std::size_t row_begin,
-                             std::size_t row_count,
-                             std::span<const double> values)
-{
-  CENN_ASSERT(layer >= 0 && layer < spec_.NumLayers(), "bad layer ", layer);
-  CENN_ASSERT(row_begin + row_count <= spec_.rows, "WriteStateRows: rows [",
-              row_begin, ", ", row_begin + row_count, ") out of ",
-              spec_.rows);
-  CENN_ASSERT(values.size() >= row_count * spec_.cols,
-              "WriteStateRows: value span too small");
-  for (std::size_t i = 0; i < row_count; ++i) {
-    const double* src = values.data() + i * spec_.cols;
-    T* dst = state_.Row(layer, row_begin + i);
-    for (std::size_t c = 0; c < spec_.cols; ++c) {
-      dst[c] = NumTraits<T>::FromDouble(src[c]);
-    }
-  }
-  return true;
-}
-
-template <typename T>
-void
-SoaEngine<T>::SetInput(int layer, std::span<const double> values)
-{
-  CENN_ASSERT(layer >= 0 && layer < spec_.NumLayers(), "bad layer ", layer);
-  input_.PlaneFromDoubles(layer, values);
-}
-
 template class SoaEngine<double>;
 template class SoaEngine<float>;
 template class SoaEngine<Fixed32>;

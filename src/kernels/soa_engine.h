@@ -90,24 +90,6 @@ class SoaEngine final : public Engine
     void RestoreState(int layer, std::span<const double> values) override;
 
     /**
-     * Temporal-blocking support (double/float only; Fixed32 returns
-     * nullptr — its LUT evaluator is rebindable mid-run and the
-     * temporal contract excludes LUT paths anyway). The clone shares
-     * this engine's evaluator and resolved kernel path; its per-layer
-     * input map is sliced from the live input field through the row
-     * map, so periodic wrap and SetInput updates are honored.
-     */
-    std::unique_ptr<Engine>
-    MakeBandClone(std::span<const std::size_t> rows) const override;
-
-    bool ReadStateRows(int layer, std::size_t row_begin,
-                       std::size_t row_count,
-                       std::span<double> out) const override;
-    bool WriteStateRows(int layer, std::size_t row_begin,
-                        std::size_t row_count,
-                        std::span<const double> values) override;
-
-    /**
      * Forwards a refit bank to the evaluator and, when it adopts the
      * bank, recompiles the tap plans (bound closures and LutViews
      * reference the old tables) plus the traffic model. Slice
@@ -127,9 +109,6 @@ class SoaEngine final : public Engine
 
     /** The resolved stepping implementation (never kAuto). */
     KernelPath Path() const { return path_; }
-
-    /** Replaces a layer's input map u (row-major doubles). */
-    void SetInput(int layer, std::span<const double> values);
 
   private:
     /** Validates a band for the current geometry. */

@@ -92,10 +92,8 @@ class LutEvaluatorDouble final : public FunctionEvaluator<double>
     FactorVecInfo
     Describe(const NonlinearFunction& fn) override
     {
-        const OffChipLut& lut = bank_->Get(fn);
         FactorVecInfo info;
-        info.lut_view = lut.View();
-        info.lut = &lut;  // deprecated alias, removed next PR
+        info.lut_view = bank_->Get(fn).View();
         return info;
     }
 

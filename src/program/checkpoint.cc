@@ -33,47 +33,38 @@ PutF64(std::vector<std::uint8_t>* out, double v)
   PutU64(out, u);
 }
 
+/** Bounds-checked little-endian reads; never reads past the end. */
 class Reader
 {
   public:
     explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
-    std::uint8_t
-    U8()
-    {
-        if (pos_ >= bytes_.size()) {
-          CENN_FATAL("checkpoint truncated at byte ", pos_);
-        }
-        return bytes_[pos_++];
-    }
+    /** Bytes not yet consumed. */
+    std::size_t Remaining() const { return bytes_.size() - pos_; }
 
-    std::uint32_t
-    U32()
+    /** Reads a `width`-byte unsigned; false when fewer bytes remain. */
+    bool
+    Uint(std::size_t width, std::uint64_t* out)
     {
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) {
-          v |= static_cast<std::uint32_t>(U8()) << (8 * i);
+        if (Remaining() < width) {
+          return false;
         }
-        return v;
-    }
-
-    std::uint64_t
-    U64()
-    {
         std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i) {
-          v |= static_cast<std::uint64_t>(U8()) << (8 * i);
+        for (std::size_t i = 0; i < width; ++i) {
+          v |= static_cast<std::uint64_t>(bytes_[pos_ + i]) << (8 * i);
         }
-        return v;
+        pos_ += width;
+        *out = v;
+        return true;
     }
 
-    double
-    F64()
+    /** Consumes `n` <= Remaining() bytes as text. */
+    std::string
+    Text(std::size_t n)
     {
-        const std::uint64_t u = U64();
-        double v = 0.0;
-        std::memcpy(&v, &u, sizeof(v));
-        return v;
+        const auto* begin = reinterpret_cast<const char*>(&bytes_[pos_]);
+        pos_ += n;
+        return std::string(begin, n);
     }
 
   private:
@@ -111,15 +102,36 @@ CaptureCheckpoint(const Engine& engine)
   return cp;
 }
 
+bool
+CheckpointFits(const Checkpoint& cp, const NetworkSpec& spec,
+               std::string* error)
+{
+  if (cp.rows != spec.rows || cp.cols != spec.cols ||
+      cp.layer_states.size() != static_cast<std::size_t>(spec.NumLayers())) {
+    *error = internal::Format(
+        "checkpoint geometry mismatch: ", cp.rows, "x", cp.cols, "/",
+        cp.layer_states.size(), " layers vs ", spec.rows, "x", spec.cols,
+        "/", spec.NumLayers());
+    return false;
+  }
+  for (std::size_t l = 0; l < cp.layer_states.size(); ++l) {
+    if (cp.layer_states[l].size() != spec.rows * spec.cols) {
+      *error = internal::Format("checkpoint layer ", l, " holds ",
+                                cp.layer_states[l].size(),
+                                " values, expected ", spec.rows * spec.cols);
+      return false;
+    }
+  }
+  return true;
+}
+
 void
 RestoreCheckpoint(const Checkpoint& cp, Engine* engine)
 {
   const NetworkSpec& spec = engine->Spec();
-  if (cp.rows != spec.rows || cp.cols != spec.cols ||
-      cp.layer_states.size() != static_cast<std::size_t>(spec.NumLayers())) {
-    CENN_FATAL("checkpoint geometry mismatch: ", cp.rows, "x", cp.cols, "/",
-               cp.layer_states.size(), " layers vs ", spec.rows, "x",
-               spec.cols, "/", spec.NumLayers());
+  std::string error;
+  if (!CheckpointFits(cp, spec, &error)) {
+    CENN_FATAL(error);
   }
   for (int l = 0; l < spec.NumLayers(); ++l) {
     engine->RestoreState(l,
@@ -155,48 +167,74 @@ SerializeCheckpoint(const Checkpoint& cp)
   return out;
 }
 
-Checkpoint
-DeserializeCheckpoint(std::span<const std::uint8_t> bytes)
+bool
+DeserializeCheckpoint(std::span<const std::uint8_t> bytes, Checkpoint* out,
+                      std::string* error)
 {
-  if (bytes.size() < 8) {
-    CENN_FATAL("checkpoint too short");
+  auto fail = [&bytes, error](const std::string& what) {
+    *error = "checkpoint " + what + " (" + std::to_string(bytes.size()) +
+             " bytes)";
+    return false;
+  };
+  // Smallest valid file: magic, empty name, geometry, steps, zero
+  // layers, checksum.
+  constexpr std::size_t kMinBytes = 4 + 4 + 8 + 8 + 8 + 4 + 4;
+  if (bytes.size() < kMinBytes) {
+    return fail("too short");
+  }
+  Reader r(bytes.first(bytes.size() - 4));
+  std::uint64_t magic = 0;
+  r.Uint(4, &magic);
+  if (magic != kCheckpointMagic) {
+    return fail("has bad magic (not a checkpoint)");
   }
   std::uint32_t sum = 0;
   for (std::size_t i = 0; i + 4 < bytes.size(); ++i) {
     sum += bytes[i];
   }
-  const std::size_t tail = bytes.size() - 4;
-  std::uint32_t stored = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored |= static_cast<std::uint32_t>(bytes[tail + i]) << (8 * i);
-  }
+  std::uint64_t stored = 0;
+  Reader(bytes.last(4)).Uint(4, &stored);
   if (sum != stored) {
-    CENN_FATAL("checkpoint checksum mismatch");
+    return fail("checksum mismatch");
   }
 
-  Reader r(bytes);
-  if (r.U32() != kCheckpointMagic) {
-    CENN_FATAL("bad checkpoint magic");
-  }
   Checkpoint cp;
-  const std::uint32_t name_len = r.U32();
-  for (std::uint32_t i = 0; i < name_len; ++i) {
-    cp.network_name.push_back(static_cast<char>(r.U8()));
+  std::uint64_t name_len = 0;
+  if (!r.Uint(4, &name_len) || name_len > r.Remaining()) {
+    return fail("name overruns the file");
   }
-  cp.rows = r.U64();
-  cp.cols = r.U64();
-  cp.steps = r.U64();
-  const std::uint32_t n_layers = r.U32();
-  for (std::uint32_t l = 0; l < n_layers; ++l) {
-    const std::uint64_t n = r.U64();
-    std::vector<double> field;
-    field.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      field.push_back(r.F64());
+  cp.network_name = r.Text(name_len);
+  std::uint64_t rows = 0;
+  std::uint64_t cols = 0;
+  std::uint64_t n_layers = 0;
+  if (!r.Uint(8, &rows) || !r.Uint(8, &cols) || !r.Uint(8, &cp.steps) ||
+      !r.Uint(4, &n_layers)) {
+    return fail("header is truncated");
+  }
+  cp.rows = rows;
+  cp.cols = cols;
+  // Every layer carries at least its 8-byte length word.
+  if (n_layers > r.Remaining() / 8) {
+    return fail("layer count overruns the file");
+  }
+  cp.layer_states.resize(n_layers);
+  for (std::vector<double>& field : cp.layer_states) {
+    std::uint64_t n = 0;
+    if (!r.Uint(8, &n) || n > r.Remaining() / 8) {
+      return fail("layer length overruns the file");
     }
-    cp.layer_states.push_back(std::move(field));
+    field.resize(n);
+    for (double& v : field) {
+      std::uint64_t u = 0;
+      r.Uint(8, &u);
+      std::memcpy(&v, &u, sizeof(v));
+    }
   }
-  return cp;
+  if (r.Remaining() != 0) {
+    return fail("has trailing bytes");
+  }
+  *out = std::move(cp);
+  return true;
 }
 
 }  // namespace cenn

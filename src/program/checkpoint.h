@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/network.h"
@@ -36,8 +37,15 @@ Checkpoint CaptureCheckpoint(const DeSolver& solver);
 Checkpoint CaptureCheckpoint(const Engine& engine);
 
 /**
+ * True when `cp` has `spec`'s rows, columns and layer count and every
+ * layer holds rows * cols values; false with a one-line `*error`.
+ */
+bool CheckpointFits(const Checkpoint& cp, const NetworkSpec& spec,
+                    std::string* error);
+
+/**
  * Restores a checkpoint into any stepping engine (states and step
- * counter). Fatal when the geometry or layer count disagrees.
+ * counter). Fatal unless CheckpointFits.
  */
 void RestoreCheckpoint(const Checkpoint& cp, Engine* engine);
 
@@ -59,19 +67,16 @@ CaptureCheckpoint(const MultilayerCenn<T>& engine)
 
 /**
  * Restores a checkpoint into a typed engine (states and step counter).
- * Fatal when the geometry or layer count disagrees.
+ * Fatal unless CheckpointFits.
  */
 template <typename T>
 void
 RestoreCheckpoint(const Checkpoint& cp, MultilayerCenn<T>* engine)
 {
   const NetworkSpec& spec = engine->Spec();
-  if (cp.rows != spec.rows || cp.cols != spec.cols ||
-      cp.layer_states.size() !=
-          static_cast<std::size_t>(spec.NumLayers())) {
-    CENN_FATAL("checkpoint geometry mismatch: ", cp.rows, "x", cp.cols, "/",
-               cp.layer_states.size(), " layers vs ", spec.rows, "x",
-               spec.cols, "/", spec.NumLayers());
+  std::string error;
+  if (!CheckpointFits(cp, spec, &error)) {
+    CENN_FATAL(error);
   }
   for (int l = 0; l < spec.NumLayers(); ++l) {
     engine->MutableState(l) = Grid2D<T>::FromDoubles(
@@ -84,8 +89,14 @@ RestoreCheckpoint(const Checkpoint& cp, MultilayerCenn<T>* engine)
 /** Serializes a checkpoint to bytes (magic + checksum protected). */
 std::vector<std::uint8_t> SerializeCheckpoint(const Checkpoint& cp);
 
-/** Parses a serialized checkpoint; fatal on corruption. */
-Checkpoint DeserializeCheckpoint(std::span<const std::uint8_t> bytes);
+/**
+ * Parses a serialized checkpoint into `*out`. Returns false with a
+ * one-line `*error` on short, torn, garbled or foreign input; every
+ * length read from `bytes` is bounded by the bytes left before
+ * anything is allocated, so no input can end the process.
+ */
+bool DeserializeCheckpoint(std::span<const std::uint8_t> bytes,
+                           Checkpoint* out, std::string* error);
 
 }  // namespace cenn
 

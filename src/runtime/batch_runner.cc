@@ -201,8 +201,6 @@ BatchRunner::RunOneJob(const BatchJobSpec& job, std::size_t index,
     sc.metrics_interval_ms = options_.metrics_interval_ms;
   }
 
-  const EngineRequest req = ToEngineRequest(job.exec);
-
   HealthGuard guard(options_.guard);
   const int max_attempts = 1 + options_.max_retries;
   bool restored_any = false;
@@ -230,7 +228,8 @@ BatchRunner::RunOneJob(const BatchJobSpec& job, std::size_t index,
     guard.Reset();
     session.reset();
     job_registry = std::make_unique<StatRegistry>();
-    session = std::make_unique<SolverSession>(BuildEngine(program, req), sc);
+    session =
+        std::make_unique<SolverSession>(BuildEngine(program, job.exec), sc);
     if (options_.guard_enabled) {
       session->Backend().AttachHealthGuard(&guard);
     }

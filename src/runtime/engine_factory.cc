@@ -4,6 +4,7 @@
 
 #include "arch/simulator.h"
 #include "core/solver.h"
+#include "kernels/kernel_path.h"
 #include "kernels/soa_engine.h"
 #include "lut/lut_bank.h"
 #include "lut/lut_evaluator.h"
@@ -27,48 +28,32 @@ MakeLutFixedEvaluator(const SolverProgram& program)
   return std::make_shared<LutEvaluatorFixed>(bank);
 }
 
-}  // namespace
-
-EngineRequest
-NormalizeEngineRequest(EngineRequest request)
+/** The policy's precision with the engine default filled in; fatal
+ *  unless the policy passes ValidateExecPolicy. */
+std::string
+ValidPrecision(const ExecPolicy& policy)
 {
-  // Pre-Engine manifests named the functional precisions directly.
-  if (request.engine == "double" || request.engine == "fixed") {
-    request.precision = request.engine;
-    request.engine = "functional";
+  std::string error;
+  if (!ValidateExecPolicy(policy, &error)) {
+    CENN_FATAL("exec policy: ", error);
   }
-  if (request.engine != "functional" && request.engine != "soa" &&
-      request.engine != "arch") {
-    CENN_FATAL("engine '", request.engine,
-               "' is not functional, soa or arch (legacy: double, fixed)");
-  }
-  if (request.precision != "double" && request.precision != "fixed" &&
-      request.precision != "float") {
-    CENN_FATAL("precision '", request.precision,
-               "' is not double, fixed or float");
-  }
-  if (request.memory != "ddr3" && request.memory != "hmc-int" &&
-      request.memory != "hmc-ext") {
-    CENN_FATAL("memory '", request.memory,
-               "' is not ddr3, hmc-int or hmc-ext");
-  }
-  if (request.precision == "float" && request.engine != "soa") {
-    CENN_FATAL("precision 'float' is only available on the soa engine, not '",
-               request.engine, "'");
-  }
-  return request;
+  return policy.precision.empty() ? "fixed" : policy.precision;
 }
 
-std::unique_ptr<Engine>
-BuildEngine(const SolverProgram& program, const EngineRequest& request)
-{
-  const EngineRequest req = NormalizeEngineRequest(request);
+}  // namespace
 
-  if (req.engine == "arch") {
+std::unique_ptr<Engine>
+BuildEngine(const SolverProgram& program, const ExecPolicy& policy)
+{
+  const std::string precision = ValidPrecision(policy);
+  KernelPath path = KernelPath::kAuto;
+  ParseKernelPath(policy.kernel_path.c_str(), &path);
+
+  if (policy.engine == "arch") {
     ArchConfig arch;
-    if (req.memory == "hmc-int") {
+    if (policy.memory == "hmc-int") {
       arch.memory = MemoryParams::HmcInt();
-    } else if (req.memory == "hmc-ext") {
+    } else if (policy.memory == "hmc-ext") {
       arch.memory = MemoryParams::HmcExt();
     }
     arch.pe_clock_hz = arch.memory.pe_clock_hint_hz;
@@ -76,68 +61,34 @@ BuildEngine(const SolverProgram& program, const EngineRequest& request)
     return std::make_unique<ArchSimulator>(program, arch);
   }
 
-  if (req.engine == "soa" && req.precision == "float") {
-    return MakeSoaEngineFloat(program.spec, nullptr, req.kernel_path);
+  if (precision == "float") {
+    return MakeSoaEngineFloat(program.spec, nullptr, path);
   }
 
   SolverOptions options;
-  if (req.precision == "double") {
+  if (precision == "double") {
     options.precision = Precision::kDouble;
   } else {
     options.precision = Precision::kFixed32;
     options.fixed_evaluator = MakeLutFixedEvaluator(program);
   }
-  if (req.engine == "soa") {
-    return MakeSoaEngine(program.spec, std::move(options), req.kernel_path);
+  if (policy.engine == "soa") {
+    return MakeSoaEngine(program.spec, std::move(options), path);
   }
   return MakeFunctionalEngine(program.spec, std::move(options));
 }
 
 std::shared_ptr<LutRefitter>
-MakeLutRefitter(const SolverProgram& program, const EngineRequest& request)
+MakeLutRefitter(const SolverProgram& program, const ExecPolicy& policy)
 {
-  const EngineRequest req = NormalizeEngineRequest(request);
   // Only fixed-precision functional/soa engines evaluate through a
   // rebindable LUT bank; the arch simulator's hierarchy indices are
   // tied to its bank and double/float run ideal math.
-  if (req.precision != "fixed" || req.engine == "arch") {
+  if (ValidPrecision(policy) != "fixed" || policy.engine == "arch") {
     return nullptr;
   }
   return std::make_shared<LutRefitter>(&LutStore::Global(), program.spec,
                                        program.lut_config);
-}
-
-EngineRequest
-ToEngineRequest(const ExecPolicy& policy)
-{
-  std::string error;
-  if (!ValidateExecPolicy(policy, &error)) {
-    CENN_FATAL("exec policy: ", error);
-  }
-  EngineRequest request;
-  request.engine = policy.engine;
-  if (!policy.precision.empty()) {
-    request.precision = policy.precision;
-  }
-  request.memory = policy.memory;
-  KernelPath path = KernelPath::kAuto;
-  if (!ParseKernelPath(policy.kernel_path.c_str(), &path)) {
-    CENN_FATAL("exec policy: unknown kernel path '", policy.kernel_path, "'");
-  }
-  request.kernel_path = path;
-  return request;
-}
-
-std::unique_ptr<Engine>
-BuildEngine(const SolverProgram& program, const ExecPolicy& policy)
-{
-  return BuildEngine(program, ToEngineRequest(policy));
-}
-
-std::shared_ptr<LutRefitter>
-MakeLutRefitter(const SolverProgram& program, const ExecPolicy& policy)
-{
-  return MakeLutRefitter(program, ToEngineRequest(policy));
 }
 
 }  // namespace cenn

@@ -3,98 +3,52 @@
 
 /**
  * @file
- * One place that turns "which backend?" strings into a cenn::Engine.
+ * One place that turns an ExecPolicy (util/exec_policy.h) into a
+ * cenn::Engine.
  *
- * Every frontend (cenn_run, cenn_batch, the batch manifest) used to
- * grow its own if/else ladder over engine names, each duplicating the
- * LUT-evaluator and ArchConfig setup. BuildEngine centralizes that:
- * callers hand over a SolverProgram plus an EngineRequest and receive
- * a ready engine behind the uniform interface.
+ * Every frontend (cenn_run, cenn_batch, the batch manifest, serve)
+ * hands over a SolverProgram plus the policy's backend-selection
+ * fields and receives a ready engine behind the uniform interface;
+ * the team-shape fields (shards, pin) are ShardTeam's and
+ * SolverSession's to consume.
  *
  * Engine names:
  *   functional  reference MultilayerCenn (double or fixed precision)
  *   soa         vectorized SoA kernels (double, fixed or float)
  *   arch        cycle-level accelerator simulator
- * Legacy spellings "double" and "fixed" (pre-Engine manifests) still
- * parse and mean the functional engine at that precision.
+ * An empty precision means fixed, the accelerator's native format.
  */
 
 #include <memory>
-#include <string>
 
 #include "core/engine.h"
-#include "kernels/kernel_path.h"
 #include "program/solver_program.h"
 #include "util/exec_policy.h"
 
 namespace cenn {
 
-/** Which backend to build, in frontend (string) vocabulary. */
-struct EngineRequest {
-  /** "functional", "soa", "arch" (legacy: "double", "fixed"). */
-  std::string engine = "functional";
-
-  /** "double", "fixed" or "float" (float is SoA-only). */
-  std::string precision = "fixed";
-
-  /** Arch memory system: "ddr3", "hmc-int" or "hmc-ext". */
-  std::string memory = "ddr3";
-
-  /** SoA stepping implementation (kAuto = blocked kernels). */
-  KernelPath kernel_path = KernelPath::kAuto;
-};
-
-/**
- * Canonicalizes a request: folds the legacy engine spellings
- * ("double" / "fixed") into functional + precision and validates every
- * field. Fatal on an unknown engine, precision or memory name, and on
- * unsupported combinations (functional/arch engines at float).
- */
-EngineRequest NormalizeEngineRequest(EngineRequest request);
-
-/**
- * Builds the requested engine over `program`. Fixed-precision
- * functional and SoA engines evaluate nonlinear weights through the
- * program's LUT bank (hardware-faithful); double and float use ideal
- * math. The arch engine sizes its config via RecommendedArchConfig.
- */
-std::unique_ptr<Engine> BuildEngine(const SolverProgram& program,
-                                    const EngineRequest& request);
-
 class LutRefitter;  // src/lut/lut_refit.h
 
 /**
+ * Builds the engine `policy` selects over `program`. Fixed-precision
+ * functional and SoA engines evaluate nonlinear weights through the
+ * program's LUT bank (hardware-faithful); double and float use ideal
+ * math. The arch engine sizes its config via RecommendedArchConfig.
+ * Fatal on a policy that fails ValidateExecPolicy, so validate
+ * frontend input first.
+ */
+std::unique_ptr<Engine> BuildEngine(const SolverProgram& program,
+                                    const ExecPolicy& policy);
+
+/**
  * Builds the adaptive LUT range refitter that pairs with BuildEngine's
- * result, or nullptr when the request has no rebindable LUT path
+ * result, or nullptr when the policy has no rebindable LUT path
  * (double/float precision, or the arch engine whose cache hierarchy is
  * tied to its bank). Hand the result to SessionConfig::lut_refitter so
  * the session widens the sampled range when states escape it.
  */
 std::shared_ptr<LutRefitter> MakeLutRefitter(const SolverProgram& program,
-                                             const EngineRequest& request);
-
-/**
- * @name ExecPolicy front end
- * The unified execution policy (util/exec_policy.h) carries the same
- * backend-selection fields as EngineRequest plus the team shape
- * (shards/pin/block, which the factory ignores — ShardTeam and
- * SolverSession consume those). ToEngineRequest is fatal on a policy
- * that fails ValidateExecPolicy, so validate frontend input first.
- */
-///@{
-
-/** Converts the backend-selection fields of a validated policy. */
-EngineRequest ToEngineRequest(const ExecPolicy& policy);
-
-/** BuildEngine over the policy's backend-selection fields. */
-std::unique_ptr<Engine> BuildEngine(const SolverProgram& program,
-                                    const ExecPolicy& policy);
-
-/** MakeLutRefitter over the policy's backend-selection fields. */
-std::shared_ptr<LutRefitter> MakeLutRefitter(const SolverProgram& program,
                                              const ExecPolicy& policy);
-
-///@}
 
 }  // namespace cenn
 

@@ -4,7 +4,6 @@
 #include <limits>
 #include <sstream>
 
-#include "kernels/kernel_path.h"
 #include "lang/compiler.h"
 #include "models/benchmark_model.h"
 
@@ -68,20 +67,6 @@ FormatJobSpecErrors(const std::vector<JobSpecError>& errors)
     out += FormatJobSpecError(e);
   }
   return out;
-}
-
-bool
-JobSpecBuilder::IsKnownKey(const std::string& key)
-{
-  static const char* kKeys[] = {
-      "model",  "model_file", "model_source", "name",  "rows",
-      "cols",   "steps",      "exec",         "engine", "precision",
-      "memory", "kernel_path", "shards",      "priority", "seed",
-      "checkpoint_every",
-  };
-  return std::find_if(std::begin(kKeys), std::end(kKeys),
-                      [&key](const char* k) { return key == k; }) !=
-         std::end(kKeys);
 }
 
 bool
@@ -164,62 +149,6 @@ JobSpecBuilder::Apply(const std::string& key, const std::string& value,
     if (!ParseExecPolicy(value, &spec_.exec, &error)) {
       return fail(error);
     }
-    return true;
-  }
-  if (key == "engine") {
-    if (value != "functional" && value != "soa" && value != "arch" &&
-        value != "double" && value != "fixed") {
-      return fail("unknown engine '" + value +
-                  "' (functional|soa|arch; legacy double|fixed)");
-    }
-    WarnDeprecatedOnce("engine=", "exec=<engine>");
-    if (value == "double" || value == "fixed") {
-      spec_.exec.engine = "functional";
-      spec_.exec.precision = value;
-    } else {
-      spec_.exec.engine = value;
-    }
-    return true;
-  }
-  if (key == "precision") {
-    if (value != "double" && value != "fixed" && value != "float") {
-      return fail("unknown precision '" + value + "' (double|fixed|float)");
-    }
-    WarnDeprecatedOnce("precision=", "exec=<engine>:<precision>");
-    spec_.exec.precision = value;
-    return true;
-  }
-  if (key == "memory") {
-    if (value != "ddr3" && value != "hmc-int" && value != "hmc-ext") {
-      return fail("unknown memory '" + value + "' (ddr3|hmc-int|hmc-ext)");
-    }
-    WarnDeprecatedOnce("memory=", "exec=...:memory=<name>");
-    spec_.exec.memory = value;
-    return true;
-  }
-  if (key == "kernel_path") {
-    KernelPath parsed = KernelPath::kAuto;
-    if (!ParseKernelPath(value.c_str(), &parsed)) {
-      return fail("unknown kernel_path '" + value + "' (" +
-                  kKernelPathChoices + ")");
-    }
-    WarnDeprecatedOnce("kernel_path=", "exec=...:<kernel path>");
-    spec_.exec.kernel_path = value;
-    return true;
-  }
-  if (key == "shards") {
-    std::uint64_t v = 0;
-    if (!apply_u64(&v)) {
-      return false;
-    }
-    if (v < 1) {
-      return fail("shards must be >= 1");
-    }
-    if (v > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-      return fail("shards out of range");
-    }
-    WarnDeprecatedOnce("shards=", "exec=...:shards=<n>");
-    spec_.exec.shards = static_cast<int>(v);
     return true;
   }
   if (key == "priority") {
@@ -337,8 +266,8 @@ ValidateJobSpec(const JobSpec& spec, std::vector<JobSpecError>* errors,
     errors->push_back({line, spec.rows < 1 ? "rows" : "cols",
                        "grid dimensions must be >= 1"});
   }
-  // Cross-field execution checks ToEngineRequest / the worker team
-  // would otherwise hit fatally on the worker thread.
+  // Cross-field execution checks BuildEngine / the worker team would
+  // otherwise hit fatally on the worker thread.
   std::string exec_error;
   if (!ValidateExecPolicy(spec.exec, &exec_error)) {
     errors->push_back({line, "exec", exec_error});

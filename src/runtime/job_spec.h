@@ -8,11 +8,8 @@
  *
  * The grammar is the batch-manifest key set (docs/runtime.md):
  * `model=`, `name=`, `rows=`, `cols=`, `steps=`, `exec=`,
- * `priority=`, `seed=`, `checkpoint_every=` — plus the legacy
- * execution keys `engine=`, `precision=`, `memory=`, `kernel_path=`
- * and `shards=`, which still parse as aliases into the unified
- * `exec` policy (one deprecation warning per process per key). It
- * used to live inside
+ * `priority=`, `seed=`, `checkpoint_every=`; `exec=` is the one key
+ * for how the job executes. It used to live inside
  * batch_manifest.cc with fatal, first-error-wins diagnostics; now the
  * manifest parser (cenn_batch) and the serve submit path (cenn_serve)
  * both build specs through JobSpecBuilder, which *collects* every
@@ -67,10 +64,8 @@ struct JobSpec {
 
   /**
    * How the job executes: engine, precision, memory, kernel path,
-   * shards, pinning, temporal blocking. Set whole via `exec=...`
-   * (util/exec_policy.h grammar) or field-wise via the legacy
-   * `engine=` / `precision=` / `memory=` / `kernel_path=` / `shards=`
-   * keys, which merge into this policy.
+   * shards, pinning. Set via `exec=...` (util/exec_policy.h grammar),
+   * which merges into the frontend's default policy.
    */
   ExecPolicy exec;
 
@@ -144,9 +139,6 @@ class JobSpecBuilder
     bool Apply(const std::string& key, const std::string& value,
                int line = 0);
 
-    /** True when `key` is one of the spec grammar's keys. */
-    static bool IsKnownKey(const std::string& key);
-
     /** The spec assembled so far. */
     const JobSpec& Spec() const { return spec_; }
     JobSpec& MutableSpec() { return spec_; }
@@ -163,10 +155,10 @@ class JobSpecBuilder
 /**
  * Whole-spec validation: the model must exist (AllModelNames), rows /
  * cols must be >= 1, and the exec policy must pass ValidateExecPolicy
- * (shards/block >= 1, float soa-only, temporal blocking soa-only).
- * Appends to `errors` with `line` context and returns true when
- * nothing was added — a spec passing Apply + ValidateJobSpec never
- * trips CENN_FATAL in MakeModel / ToEngineRequest.
+ * (shards >= 1, float soa-only). Appends to `errors` with `line`
+ * context and returns true when nothing was added — a spec passing
+ * Apply + ValidateJobSpec never trips CENN_FATAL in MakeModel /
+ * BuildEngine.
  */
 bool ValidateJobSpec(const JobSpec& spec, std::vector<JobSpecError>* errors,
                      int line = 0);

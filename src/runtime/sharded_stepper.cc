@@ -2,10 +2,7 @@
 
 #include <mutex>
 
-#include "core/network_spec.h"
-#include "core/solver.h"
 #include "obs/stat_registry.h"
-#include "runtime/worker_team.h"
 #include "util/logging.h"
 #include "util/stats.h"
 
@@ -152,37 +149,6 @@ PartitionRows(std::size_t rows, int shards)
     begin += size;
   }
   return bands;
-}
-
-void
-RunSharded(Engine* engine, std::uint64_t steps, int shards,
-           const ShardRunOptions& options)
-{
-  CENN_ASSERT(engine != nullptr, "RunSharded: null engine");
-  if (shards < 1) {
-    CENN_FATAL("RunSharded: shards must be >= 1, got ", shards);
-  }
-  // One-shot teams and persistent ones (SolverSession) share the same
-  // code path, so their results are trivially bit-identical.
-  TeamOptions team_options;
-  team_options.shards = shards;
-  team_options.timings = options.timings;
-  team_options.trace = options.trace;
-  ShardTeam team(engine, team_options);
-  team.Run(steps);
-}
-
-void
-RunSharded(Engine* engine, std::uint64_t steps, int shards)
-{
-  RunSharded(engine, steps, shards, ShardRunOptions{});
-}
-
-void
-RunSharded(DeSolver* solver, std::uint64_t steps, int shards)
-{
-  CENN_ASSERT(solver != nullptr, "RunSharded: null solver");
-  RunSharded(&solver->Iface(), steps, shards);
 }
 
 }  // namespace cenn

@@ -3,9 +3,11 @@
 
 /**
  * @file
- * Intra-grid sharded execution: one Engine stepped by K worker
- * threads over disjoint row bands, bit-identical to single-threaded
- * stepping for any K (the determinism contract in docs/runtime.md).
+ * Band partitioning and phase timing for intra-grid sharded
+ * execution: one Engine stepped by K worker threads over disjoint row
+ * bands (runtime/worker_team.h's ShardTeam), bit-identical to
+ * single-threaded stepping for any K (the determinism contract in
+ * docs/runtime.md).
  *
  * Each Euler step runs as two data-parallel phases with a halo-
  * exchange barrier between them (refresh outputs, then compute the
@@ -13,22 +15,6 @@
  * completion step. Phases only read stable front buffers and write
  * disjoint rows, and per-cell arithmetic is exactly Step()'s, so the
  * partition never changes results — only wall-clock time.
- *
- * Observability: callers may pass ShardRunOptions with a
- * ShardPhaseTimings accumulator and/or a TraceSession. With timings
- * attached, every worker clocks its refresh / step / barrier-wait
- * phases per step (accumulated thread-locally, merged once when the
- * workers join) and the barrier completion clocks the serial publish;
- * with a trace attached, each phase additionally emits an 'X' span on
- * the shard's lane and lanes are named ("shard0", …, "publish") via
- * thread-name metadata. Passing neither keeps the worker loop free of
- * clock reads — the legacy overloads do exactly that.
- *
- * RunSharded is now a one-shot wrapper over runtime/worker_team.h's
- * persistent ShardTeam (spawn, run once, join): long-lived drivers
- * (SolverSession, BatchRunner) hold a ShardTeam directly so workers
- * persist across slices; both spellings execute the identical team
- * code path.
  */
 
 #include <cstdint>
@@ -40,11 +26,8 @@
 
 namespace cenn {
 
-class DeSolver;
-class Engine;
 class Histogram;
 class StatRegistry;
-class TraceSession;
 
 /**
  * Splits `rows` grid rows into at most `shards` contiguous bands,
@@ -62,8 +45,8 @@ std::vector<std::pair<std::size_t, std::size_t>> PartitionRows(
  * Construct with the maximum shard count, bind once into a registry
  * (`<prefix>shard<K>.{refresh,step,wait}_ns`, `.steps`, matching
  * `*_us` histograms, plus `<prefix>publish.{ns,count}` and
- * `publish.us`), then pass to RunSharded via ShardRunOptions as many
- * times as needed — timings accumulate across calls. Serial fallbacks
+ * `publish.us`), then pass to a ShardTeam via TeamOptions::timings —
+ * timings accumulate across Run() calls. Serial fallbacks
  * account everything to shard 0. The wait phase is time spent inside
  * the halo/compute barriers (on the publishing worker it includes the
  * publish itself, which is also separately counted).
@@ -141,45 +124,6 @@ class ShardPhaseTimings
     std::uint64_t publish_count_ = 0;
     Histogram* publish_us_ = nullptr;
 };
-
-/** Optional observability hooks for RunSharded (see file comment). */
-struct ShardRunOptions {
-  /** Phase-time accumulator; null = no clock reads in the loop. */
-  ShardPhaseTimings* timings = nullptr;
-
-  /**
-   * Trace sink for per-phase 'X' spans (category kStep, lane =
-   * shard index, timestamps in steady-clock nanoseconds — export
-   * with ticks_per_us = 1e3) and lane-name metadata. Null = off.
-   */
-  TraceSession* trace = nullptr;
-};
-
-/**
- * Runs `steps` steps of `engine` using `shards` band-parallel worker
- * threads (dedicated per call — never pool workers, so a sharded
- * session can not deadlock a saturated pool). Works with any Engine
- * backend; Prepare() is called once up front. Each worker installs a
- * ScopedSatCounter and a ScopedLutTally against the engine's attached
- * guard/sink, so Fixed32 saturation and off-chip LUT traffic are
- * accounted no matter the partition.
- *
- * Falls back to serial stepping when shards <= 1, the partition
- * yields a single band, or the engine does not support band stepping
- * (arch simulator, Heun specs; a warning is logged once per process
- * when shards > 1 had to be ignored). With timings/trace attached the
- * serial fallback still splits band-capable stepping into timed
- * refresh/step/publish phases attributed to shard 0 — bit-identical
- * to Step() by the band-phase protocol.
- */
-void RunSharded(Engine* engine, std::uint64_t steps, int shards,
-                const ShardRunOptions& options);
-
-/** Legacy form: no observability hooks. */
-void RunSharded(Engine* engine, std::uint64_t steps, int shards);
-
-/** Convenience overload over a DeSolver's owned engine. */
-void RunSharded(DeSolver* solver, std::uint64_t steps, int shards);
 
 }  // namespace cenn
 

@@ -79,10 +79,6 @@ SolverSession::ValidateConfig()
     CENN_FATAL("SolverSession: shards must be >= 1, got ",
                config_.exec.shards);
   }
-  if (config_.exec.block_steps < 1) {
-    CENN_FATAL("SolverSession: block must be >= 1, got ",
-               config_.exec.block_steps);
-  }
   TeamPin pin = TeamPin::kNone;
   if (!ParseTeamPin(config_.exec.pin, &pin)) {
     CENN_FATAL("SolverSession: unknown pin mode '", config_.exec.pin, "'");
@@ -108,7 +104,6 @@ SolverSession::SolverSession(std::unique_ptr<Engine> engine,
   TeamOptions team_options;
   team_options.shards = config_.exec.shards;
   ParseTeamPin(config_.exec.pin, &team_options.pin);
-  team_options.block_steps = config_.exec.block_steps;
   team_options.timings = timings_.get();
   team_options.trace = config_.trace;
   team_ = std::make_unique<ShardTeam>(engine_.get(), team_options);
@@ -307,7 +302,14 @@ SolverSession::TryRestoreFromFile(const std::string& path)
   if (!ReadFileBytes(path, &bytes)) {
     return false;
   }
-  const Checkpoint cp = DeserializeCheckpoint(bytes);
+  Checkpoint cp;
+  std::string error;
+  if (!DeserializeCheckpoint(bytes, &cp, &error) ||
+      !CheckpointFits(cp, engine_->Spec(), &error)) {
+    CENN_WARN("SolverSession '", config_.name, "': ignoring '", path,
+              "': ", error);
+    return false;
+  }
   RestoreCheckpoint(cp, engine_.get());
   if (HealthGuard* guard = engine_->AttachedHealthGuard()) {
     guard->Reset();  // restored state is presumed good; clears kFaulted

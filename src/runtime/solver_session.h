@@ -32,10 +32,10 @@
  * uses band-phase stepping when the engine supports it and falls back
  * to serial otherwise. Checkpoints go through the Engine overloads of
  * Capture/RestoreCheckpoint, and stats through Engine::BindStats. The
- * team shape (shard count, pinning, temporal-block depth) comes from
- * SessionConfig::exec; the policy's engine-selection fields are
- * informational here because the engine is constructed by the caller
- * (runtime/engine_factory.h consumes them).
+ * team shape (shard count and pinning) comes from SessionConfig::exec;
+ * the policy's engine-selection fields are informational here because
+ * the engine is constructed by the caller (runtime/engine_factory.h
+ * consumes them).
  *
  * Sessions are externally synchronized except for RequestPause /
  * RequestCancel / State / StepsDone, which may be called from any
@@ -87,7 +87,7 @@ struct SessionConfig {
 
   /**
    * Execution policy. The session consumes the team-shape fields —
-   * shards (band-parallel workers, 1 = serial), pin, block_steps —
+   * shards (band-parallel workers, 1 = serial) and pin —
    * for its persistent worker team; the engine-selection fields
    * describe the engine the caller already built (echoed in logs and
    * status, not re-interpreted here).
@@ -207,10 +207,11 @@ class SolverSession
 
     /**
      * Restores state + step counter from a checkpoint file. Returns
-     * false when the file does not exist or cannot be read; fatal on
-     * a corrupt file or geometry mismatch (a real error, not a cold
-     * start). Arch sessions restore functional state only — timing
-     * counters restart from zero.
+     * false, leaving the session untouched, when the file does not
+     * exist or cannot be read, and (with a warning) when it is torn,
+     * garbled, foreign or of another geometry: callers then run the
+     * job from the start. Arch sessions restore functional state
+     * only — timing counters restart from zero.
      */
     bool TryRestoreFromFile(const std::string& path);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <span>
 
 #include "core/engine.h"
 #include "core/network_spec.h"
@@ -120,10 +119,10 @@ ApplyPin(TeamPin pin, std::size_t k)
 }
 
 /**
- * Serial observed stepping (the RunSharded fallback contract):
- * band-capable engines run timed refresh/step/publish phases
- * attributed to shard 0; others run engine->Run with the whole wall
- * time accounted as shard 0 step time.
+ * Serial observed stepping (the single-band fallback): band-capable
+ * engines run timed refresh/step/publish phases attributed to shard
+ * 0; others run engine->Run with the whole wall time accounted as
+ * shard 0 step time.
  */
 void
 RunSerialObserved(Engine& engine, std::uint64_t steps,
@@ -224,15 +223,11 @@ ShardTeam::ShardTeam(Engine* engine, const TeamOptions& options)
                      options.trace->Enabled(TraceCategory::kStep)
                  ? options.trace
                  : nullptr),
-      pin_(options.pin),
-      block_steps_(options.block_steps)
+      pin_(options.pin)
 {
   CENN_ASSERT(engine_ != nullptr, "ShardTeam: null engine");
   if (options.shards < 1) {
     CENN_FATAL("ShardTeam: shards must be >= 1, got ", options.shards);
-  }
-  if (block_steps_ < 1) {
-    CENN_FATAL("ShardTeam: block_steps must be >= 1, got ", block_steps_);
   }
   engine_->Prepare();
 
@@ -246,84 +241,8 @@ ShardTeam::ShardTeam(Engine* engine, const TeamOptions& options)
     });
   }
   if (bands_.size() <= 1) {
-    // Serial team: no resident threads, Run() steps inline. Temporal
-    // blocking needs >= 2 bands (a single band's clone would be the
-    // whole grid — pure copy overhead).
-    if (block_steps_ > 1) {
-      CENN_WARN_ONCE("ShardTeam: temporal blocking (block=", block_steps_,
-                     ") needs >= 2 bands; stepping classically");
-    }
+    // Serial team: no resident threads, Run() steps inline.
     return;
-  }
-
-  const NetworkSpec& spec = engine_->Spec();
-  const std::size_t rows = spec.rows;
-
-  // Temporal blocking: probe the engine's clone/row-I/O capability
-  // once and size the halo margin so cut-edge corruption (radius rows
-  // per sub-step) never reaches a worker's own band within one block.
-  if (block_steps_ > 1) {
-    const int radius = (spec.MaxKernelSide() - 1) / 2;
-    const std::size_t margin =
-        static_cast<std::size_t>(block_steps_) *
-        static_cast<std::size_t>(radius);
-    const std::size_t probe_rows[] = {0};
-    std::vector<double> probe(spec.cols);
-    const bool capable =
-        engine_->MakeBandClone(probe_rows) != nullptr &&
-        engine_->ReadStateRows(0, 0, 1, probe);
-    const bool periodic = spec.boundary.kind == BoundaryKind::kPeriodic;
-    // A periodic clone whose extended extent covers the whole grid
-    // would alias its own halo; classic stepping is correct and no
-    // slower at that size.
-    std::size_t widest = 0;
-    for (const auto& band : bands_) {
-      widest = std::max(widest, band.second - band.first);
-    }
-    const bool fits = !periodic || widest + 2 * margin < rows;
-    if (!capable) {
-      CENN_WARN_ONCE("ShardTeam: engine '", engine_->Kind(),
-                     "' does not support temporal blocking (block=",
-                     block_steps_, "); stepping classically");
-    } else if (!fits) {
-      CENN_WARN_ONCE("ShardTeam: temporal block margin ", margin,
-                     " does not fit a periodic grid of ", rows,
-                     " rows; stepping classically");
-    } else {
-      temporal_ = true;
-    }
-  }
-
-  slots_.resize(bands_.size());
-  for (std::size_t k = 0; k < bands_.size(); ++k) {
-    Slot& slot = slots_[k];
-    slot.band = bands_[k];
-    if (temporal_) {
-      const int radius = (spec.MaxKernelSide() - 1) / 2;
-      const std::size_t margin =
-          static_cast<std::size_t>(block_steps_) *
-          static_cast<std::size_t>(radius);
-      const auto r0 = static_cast<std::ptrdiff_t>(slot.band.first);
-      const auto r1 = static_cast<std::ptrdiff_t>(slot.band.second);
-      const auto m = static_cast<std::ptrdiff_t>(margin);
-      const auto n = static_cast<std::ptrdiff_t>(rows);
-      if (spec.boundary.kind == BoundaryKind::kPeriodic) {
-        slot.lead = margin;
-        slot.row_map.reserve(static_cast<std::size_t>(r1 - r0) + 2 * margin);
-        for (std::ptrdiff_t r = r0 - m; r < r1 + m; ++r) {
-          slot.row_map.push_back(
-              static_cast<std::size_t>(((r % n) + n) % n));
-        }
-      } else {
-        const std::ptrdiff_t e0 = std::max<std::ptrdiff_t>(0, r0 - m);
-        const std::ptrdiff_t e1 = std::min<std::ptrdiff_t>(n, r1 + m);
-        slot.lead = static_cast<std::size_t>(r0 - e0);
-        slot.row_map.reserve(static_cast<std::size_t>(e1 - e0));
-        for (std::ptrdiff_t r = e0; r < e1; ++r) {
-          slot.row_map.push_back(static_cast<std::size_t>(r));
-        }
-      }
-    }
   }
 
   if (trace_ != nullptr) {
@@ -399,7 +318,7 @@ void
 ShardTeam::WorkerMain(std::size_t k)
 {
   ApplyPin(pin_, k);
-  Slot& slot = slots_[k];
+  bool warmed = false;
   std::uint64_t seen = 0;
   for (;;) {
     std::uint64_t steps = 0;
@@ -418,21 +337,17 @@ ShardTeam::WorkerMain(std::size_t k)
       // engine's attached guard/sink (no-ops when none attached).
       ScopedSatCounter sat(engine_->AttachedHealthGuard());
       ScopedLutTally lut(engine_->AttachedLutTraffic());
-      if (temporal_) {
-        RunTemporalBand(slot, k, steps);
-      } else {
-        if (!slot.warmed) {
-          slot.warmed = true;
-          if (pin_ != TeamPin::kNone) {
-            // First-touch warm pass: fault the band's output/state
-            // pages from the pinned worker so they land on its node.
-            // Values are what the first step's refresh phase would
-            // write anyway — semantically a no-op.
-            engine_->RefreshOutputs(slot.band.first, slot.band.second);
-          }
+      if (!warmed) {
+        warmed = true;
+        if (pin_ != TeamPin::kNone) {
+          // First-touch warm pass: fault the band's output/state pages
+          // from the pinned worker so they land on its node. Values
+          // are what the first step's refresh phase would write
+          // anyway — semantically a no-op.
+          engine_->RefreshOutputs(bands_[k].first, bands_[k].second);
         }
-        RunBand(slot, k, steps);
       }
+      RunBand(k, steps);
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -447,21 +362,6 @@ ShardTeam::WorkerMain(std::size_t k)
 void
 ShardTeam::OnComputeComplete() noexcept
 {
-  if (temporal_) {
-    // Block commit: every worker has copied its rows back; advance
-    // the shared step counter by the block the workers just ran.
-    const std::uint64_t t0 = NowNs();
-    engine_->SetSteps(engine_->Steps() + block_now_);
-    const std::uint64_t t1 = NowNs();
-    if (timings_ != nullptr) {
-      timings_->AddPublish(t1 - t0);
-    }
-    if (trace_ != nullptr) {
-      trace_->Complete(TraceCategory::kStep, "commit", t0, t1 - t0,
-                       static_cast<std::uint32_t>(bands_.size()));
-    }
-    return;
-  }
   if (timings_ == nullptr && trace_ == nullptr) {
     engine_->Publish();
     return;
@@ -479,9 +379,9 @@ ShardTeam::OnComputeComplete() noexcept
 }
 
 void
-ShardTeam::RunBand(Slot& slot, std::size_t k, std::uint64_t steps)
+ShardTeam::RunBand(std::size_t k, std::uint64_t steps)
 {
-  const auto band = slot.band;
+  const auto band = bands_[k];
   if (timings_ == nullptr && trace_ == nullptr) {
     for (std::uint64_t s = 0; s < steps; ++s) {
       engine_->RefreshOutputs(band.first, band.second);
@@ -517,103 +417,6 @@ ShardTeam::RunBand(Slot& slot, std::size_t k, std::uint64_t steps)
       trace_->Complete(TraceCategory::kStep, "refresh", t0, t1 - t0, lane);
       trace_->Complete(TraceCategory::kStep, "step", t2, t3 - t2, lane);
     }
-  }
-  if (timings_ != nullptr) {
-    timings_->Merge(k, local, &refresh_us, &step_us, &wait_us);
-  }
-}
-
-void
-ShardTeam::RunTemporalBand(Slot& slot, std::size_t k, std::uint64_t steps)
-{
-  const NetworkSpec& spec = engine_->Spec();
-  const std::size_t cols = spec.cols;
-  const int layers = spec.NumLayers();
-  const std::size_t ext_rows = slot.row_map.size();
-  const std::size_t band_rows = slot.band.second - slot.band.first;
-  if (slot.clone == nullptr) {
-    // Built on the worker thread so the clone's slabs are first-touch
-    // local to the pinned core/node.
-    slot.clone = engine_->MakeBandClone(slot.row_map);
-    CENN_ASSERT(slot.clone != nullptr,
-                "ShardTeam: band clone vanished after capability probe");
-    slot.clone->Prepare();
-    slot.scratch.resize(ext_rows * cols);
-  }
-  Engine& clone = *slot.clone;
-  // Contiguous maps (clamped boundaries) exchange rows in one call;
-  // wrapped maps go row by row.
-  bool contiguous = true;
-  for (std::size_t i = 1; i < ext_rows; ++i) {
-    if (slot.row_map[i] != slot.row_map[0] + i) {
-      contiguous = false;
-      break;
-    }
-  }
-
-  const auto lane = static_cast<std::uint32_t>(k);
-  const bool observed = timings_ != nullptr || trace_ != nullptr;
-  ShardPhaseTimings::Shard local;
-  Histogram refresh_us = ShardPhaseTimings::MakePhaseHistogram();
-  Histogram step_us = ShardPhaseTimings::MakePhaseHistogram();
-  Histogram wait_us = ShardPhaseTimings::MakePhaseHistogram();
-
-  std::uint64_t done = 0;
-  while (done < steps) {
-    const std::uint64_t block = std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(block_steps_), steps - done);
-    if (k == 0) {
-      block_now_ = block;
-    }
-    const std::uint64_t t0 = observed ? NowNs() : 0;
-    // Copy-in: the extended band (own rows + halo margin) as f64.
-    for (int l = 0; l < layers; ++l) {
-      std::span<double> scratch(slot.scratch);
-      if (contiguous) {
-        engine_->ReadStateRows(l, slot.row_map[0], ext_rows, scratch);
-      } else {
-        for (std::size_t i = 0; i < ext_rows; ++i) {
-          engine_->ReadStateRows(l, slot.row_map[i], 1,
-                                 scratch.subspan(i * cols, cols));
-        }
-      }
-      clone.WriteStateRows(l, 0, ext_rows, scratch);
-    }
-    const std::uint64_t t1 = observed ? NowNs() : 0;
-    refresh_done_->arrive_and_wait();
-    const std::uint64_t t2 = observed ? NowNs() : 0;
-    // Private wavefront: T Euler steps on the cache-resident clone.
-    for (std::uint64_t s = 0; s < block; ++s) {
-      clone.Step();
-    }
-    const std::uint64_t t3 = observed ? NowNs() : 0;
-    // Copy-out: only the worker's own rows — the halo margin absorbed
-    // the cut-edge corruption and is discarded.
-    for (int l = 0; l < layers; ++l) {
-      std::span<double> scratch(slot.scratch.data(), band_rows * cols);
-      clone.ReadStateRows(l, slot.lead, band_rows, scratch);
-      engine_->WriteStateRows(l, slot.band.first, band_rows, scratch);
-    }
-    const std::uint64_t t4 = observed ? NowNs() : 0;
-    compute_done_->arrive_and_wait();
-    const std::uint64_t t5 = observed ? NowNs() : 0;
-    if (observed) {
-      local.refresh_ns += (t1 - t0) + (t4 - t3);
-      local.step_ns += t3 - t2;
-      local.wait_ns += (t2 - t1) + (t5 - t4);
-      local.steps += block;
-      refresh_us.Add(static_cast<double>((t1 - t0) + (t4 - t3)) * 1e-3);
-      step_us.Add(static_cast<double>(t3 - t2) * 1e-3);
-      wait_us.Add(static_cast<double>((t2 - t1) + (t5 - t4)) * 1e-3);
-      if (trace_ != nullptr) {
-        trace_->Complete(TraceCategory::kStep, "copy_in", t0, t1 - t0,
-                         lane);
-        trace_->Complete(TraceCategory::kStep, "block", t2, t3 - t2, lane);
-        trace_->Complete(TraceCategory::kStep, "copy_out", t3, t4 - t3,
-                         lane);
-      }
-    }
-    done += block;
   }
   if (timings_ != nullptr) {
     timings_->Merge(k, local, &refresh_us, &step_us, &wait_us);

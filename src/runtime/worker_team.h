@@ -7,15 +7,15 @@
  *
  * The fused execution engine of the solver stack: K workers are
  * spawned once (per SolverSession / per BatchRunner job / per
- * RunSharded call) and step disjoint row bands of a shared engine
- * through the two-phase halo barrier of docs/runtime.md, so a
- * long-running session pays thread creation once instead of once per
- * slice. Dispatch between Run() calls is a generation counter under a
+ * cenn_run) and step disjoint row bands of a shared engine through
+ * the two-phase halo barrier of docs/runtime.md, so a long-running
+ * session pays thread creation once instead of once per slice.
+ * Dispatch between Run() calls is a generation counter under a
  * mutex/condvar; the phase barriers themselves are std::barrier
  * objects reused across every step of every dispatch. Results are
- * bit-identical to serial stepping for any shard count — the team
- * runs exactly the RunSharded protocol, including the serial publish
- * in the compute barrier's completion step.
+ * bit-identical to serial stepping for any shard count: every step
+ * runs refresh, barrier, compute, barrier, with the serial publish in
+ * the compute barrier's completion step.
  *
  * Pinning (TeamOptions::pin): "cores" pins worker k to cpu k mod N;
  * "numa" pins worker k to the cpuset of node k mod #nodes (Linux
@@ -23,40 +23,24 @@
  * warm their band (one out-of-loop RefreshOutputs) on first dispatch
  * so first-touch page placement lands on the worker's node.
  *
- * Temporal blocking (TeamOptions::block_steps = T > 1): each worker
- * owns a private band clone (Engine::MakeBandClone) extended by
- * margin = T * template-radius rows on each cut edge and advances it
- * T Euler steps per halo exchange — copy rows in, barrier, T private
- * steps, copy own band out, barrier. Cut-edge corruption propagates
- * at most radius rows per step, so after T steps it has not reached
- * the worker's own [r0, r1) rows and every published cell equals the
- * serial value up to the kernel path's ULP contract (bit-exact for
- * the current non-FMA kernels; the SIMD contract allows <= 4 ULP).
- * True grid edges keep real boundary handling because the clone's
- * margin is clamped there (periodic grids wrap the row map instead).
- * Requires an engine with MakeBandClone/Read/WriteStateRows (the SoA
- * engine at double/float); anything else falls back to classic
- * stepping with a once-per-process warning. Traffic-model counters of
- * temporally-blocked steps accrue on the private clones, not the
- * main engine.
- *
- * Observability matches RunSharded for every mode: per-shard
- * refresh/step/wait phase counters and histograms merge into the
- * TeamOptions::timings accumulator (temporal mode accounts row
- * copies as refresh and private stepping as step time), the serial
- * publish (or temporal block commit) lands in publish ns/count, and
- * the serial fallback attributes its phases to shard 0.
+ * Observability: with TeamOptions::timings attached, every worker
+ * clocks its refresh / step / barrier-wait phases per step
+ * (accumulated thread-locally, merged once per dispatch) and the
+ * barrier completion clocks the serial publish; with a trace
+ * attached, each phase additionally emits an 'X' span on the shard's
+ * lane and lanes are named ("shard0", ..., "publish"). Passing
+ * neither keeps the worker loop free of clock reads. The serial
+ * fallback attributes its phases to shard 0.
  *
  * Thread safety: Run() is externally synchronized (one driver thread
- * at a time — the SolverSession pattern); Workers()/Dispatches()/
- * TemporalBlocking() may be read from any thread.
+ * at a time — the SolverSession pattern); Workers()/Dispatches() may
+ * be read from any thread.
  */
 
 #include <atomic>
 #include <barrier>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -70,6 +54,7 @@ namespace cenn {
 
 class Engine;
 class ShardTeam;
+class TraceSession;
 
 /** Worker pinning policy of a ShardTeam. */
 enum class TeamPin : std::uint8_t {
@@ -92,17 +77,18 @@ struct TeamOptions {
   /** Worker pinning policy. */
   TeamPin pin = TeamPin::kNone;
 
-  /** Temporal-block depth T (1 = classic two-phase stepping). */
-  int block_steps = 1;
-
   /** Phase-time accumulator; null = no clock reads in the loop. */
   ShardPhaseTimings* timings = nullptr;
 
-  /** Trace sink for per-phase spans (see sharded_stepper.h). */
+  /**
+   * Trace sink for per-phase 'X' spans (category kStep, lane = shard
+   * index, timestamps in steady-clock nanoseconds — export with
+   * ticks_per_us = 1e3) and lane-name metadata. Null = off.
+   */
   TraceSession* trace = nullptr;
 };
 
-/** Compute-barrier completion (serial publish / block commit). */
+/** Compute-barrier completion (the serial publish). */
 struct TeamComputeCompletion {
   ShardTeam* team = nullptr;
   void operator()() const noexcept;
@@ -143,33 +129,14 @@ class ShardTeam
         return dispatches_.load(std::memory_order_relaxed);
     }
 
-    /** True when the team steps with temporal blocking. */
-    bool TemporalBlocking() const { return temporal_; }
-
     /** The effective band count ( == Workers() when threaded). */
     int Bands() const { return static_cast<int>(bands_.size()); }
 
   private:
     friend struct TeamComputeCompletion;
 
-    /** Per-worker resident state. */
-    struct Slot {
-      std::pair<std::size_t, std::size_t> band{0, 0};
-      /** Clone-row -> main-row map (temporal mode). */
-      std::vector<std::size_t> row_map;
-      /** Main row index of row_map[0] is band.first - lead. */
-      std::size_t lead = 0;
-      /** Private band clone; built lazily on the worker (NUMA
-       *  first-touch) in temporal mode. */
-      std::unique_ptr<Engine> clone;
-      /** Row-exchange scratch, one plane of row_map rows. */
-      std::vector<double> scratch;
-      bool warmed = false;
-    };
-
     void WorkerMain(std::size_t k);
-    void RunBand(Slot& slot, std::size_t k, std::uint64_t steps);
-    void RunTemporalBand(Slot& slot, std::size_t k, std::uint64_t steps);
+    void RunBand(std::size_t k, std::uint64_t steps);
     void RunSerial(std::uint64_t steps);
 
     /** Compute-barrier completion body (exactly one thread). */
@@ -179,15 +146,7 @@ class ShardTeam
     ShardPhaseTimings* timings_;
     TraceSession* trace_;
     TeamPin pin_;
-    int block_steps_;
-    bool temporal_ = false;
     std::vector<std::pair<std::size_t, std::size_t>> bands_;
-    std::vector<Slot> slots_;
-
-    /** Sub-steps committed by the in-flight temporal block (written
-     *  by worker 0 before its barrier arrival; read by the barrier
-     *  completion, which all arrivals happen-before). */
-    std::uint64_t block_now_ = 0;
 
     std::optional<std::barrier<void (*)() noexcept>> refresh_done_;
     std::optional<std::barrier<TeamComputeCompletion>> compute_done_;

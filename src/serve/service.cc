@@ -787,10 +787,6 @@ SolverService::RunJob(ServeJob* job)
       job->live_steps.store(engine.Steps(), std::memory_order_relaxed);
     };
 
-    // Submit validated the policy (ValidateJobSpec → ValidateExecPolicy),
-    // so the conversion cannot hit ToEngineRequest's fatal paths.
-    const EngineRequest req = ToEngineRequest(spec.exec);
-
     for (int attempt = 1; attempt <= max_attempts; ++attempt) {
       if (attempt > 1 && options_.retry_backoff_ms > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(
@@ -820,7 +816,7 @@ SolverService::RunJob(ServeJob* job)
       session.reset();
       job_registry = std::make_unique<StatRegistry>();
       session =
-          std::make_unique<SolverSession>(BuildEngine(program, req), sc);
+          std::make_unique<SolverSession>(BuildEngine(program, spec.exec), sc);
       if (options_.guard_enabled) {
         session->Backend().AttachHealthGuard(&guard);
       }

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "obs/stats_io.h"
+
 namespace cenn {
 
 const char*
@@ -36,7 +38,7 @@ JsonWriter::Key(const std::string& key)
   }
   first_ = false;
   out_ += '"';
-  out_ += Escape(key);
+  out_ += JsonEscape(key);
   out_ += "\":";
 }
 
@@ -45,7 +47,7 @@ JsonWriter::String(const std::string& key, const std::string& value)
 {
   Key(key);
   out_ += '"';
-  out_ += Escape(value);
+  out_ += JsonEscape(value);
   out_ += '"';
   return *this;
 }
@@ -99,42 +101,6 @@ JsonWriter::Finish()
 {
   out_ += '}';
   return std::move(out_);
-}
-
-std::string
-JsonWriter::Escape(const std::string& text)
-{
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 JsonWriter

@@ -67,9 +67,6 @@ class JsonWriter
 
     std::string Finish();
 
-    /** JSON string-escapes `text` (quotes not included). */
-    static std::string Escape(const std::string& text);
-
   private:
     void Key(const std::string& key);
 

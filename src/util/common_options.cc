@@ -7,49 +7,12 @@
 
 namespace cenn {
 
-namespace {
-
-/** Sentinel marking "flag not given" (no legal value collides). */
-const std::string kUnsetFlag = "\x01";
-
-/**
- * Folds one legacy engine-selection flag into the policy: applied
- * only when given, with the once-per-process deprecation warning
- * pointing at the --exec spelling.
- */
-void
-ApplyLegacyEngineFlag(CliFlags& flags, const char* flag,
-                      const char* exec_key, std::string* target)
-{
-  const std::string value = flags.GetString(flag, kUnsetFlag);
-  if (value == kUnsetFlag) {
-    return;
-  }
-  WarnDeprecatedOnce(std::string("--") + flag,
-                     std::string("--exec=...:") + exec_key + "=" + value);
-  *target = value;
-}
-
-}  // namespace
-
 CommonOptions
 ParseCommonOptions(CliFlags& flags, unsigned groups, CommonOptions defaults)
 {
   CommonOptions opts = std::move(defaults);
   if ((groups & kEngineFlags) != 0) {
-    // Precedence: defaults < legacy long flags < --exec < CENN_EXEC.
-    ApplyLegacyEngineFlag(flags, "engine", "engine", &opts.exec.engine);
-    ApplyLegacyEngineFlag(flags, "precision", "precision",
-                          &opts.exec.precision);
-    ApplyLegacyEngineFlag(flags, "memory", "memory", &opts.exec.memory);
-    ApplyLegacyEngineFlag(flags, "kernel-path", "kernel",
-                          &opts.exec.kernel_path);
-    // Legacy manifests spelled the functional precisions as engines;
-    // keep that working through the flag alias too.
-    if (opts.exec.engine == "double" || opts.exec.engine == "fixed") {
-      opts.exec.precision = opts.exec.engine;
-      opts.exec.engine = "functional";
-    }
+    // Precedence: defaults < --exec < CENN_EXEC.
     const std::string exec_text = flags.GetString("exec", "");
     std::string error;
     if (!exec_text.empty() &&
@@ -71,12 +34,7 @@ ParseCommonOptions(CliFlags& flags, unsigned groups, CommonOptions defaults)
     }
   }
   if ((groups & kThreadsFlag) != 0) {
-    const std::int64_t sentinel = -987654;
-    const std::int64_t given = flags.GetInt("threads", sentinel);
-    opts.threads_given = given != sentinel;
-    if (opts.threads_given) {
-      opts.threads = static_cast<int>(given);
-    }
+    opts.threads = static_cast<int>(flags.GetInt("threads", opts.threads));
     if (opts.threads < 1) {
       CENN_FATAL("--threads must be >= 1, got ", opts.threads);
     }
@@ -132,20 +90,17 @@ CommonOptionsHelp(unsigned groups)
   std::string out;
   if ((groups & kEngineFlags) != 0) {
     out +=
-        "  --exec=POLICY                unified execution policy: colon-\n"
-        "                               separated engine|precision|memory|\n"
-        "                               kernel tokens plus shards=N, pin=\n"
-        "                               none|cores|numa and block=T, e.g.\n"
+        "  --exec=POLICY                execution policy: colon-separated\n"
+        "                               engine (functional|soa|arch),\n"
+        "                               precision (double|fixed|float),\n"
+        "                               memory (ddr3|hmc-int|hmc-ext) and\n"
+        "                               kernel (auto|scalar|blocked|simd)\n"
+        "                               tokens plus shards=N and pin=\n"
+        "                               none|cores|numa, e.g.\n"
         "                               --exec=soa:simd:shards=8:pin=numa\n"
-        "                               (CENN_EXEC env overrides; see\n"
-        "                               docs/runtime.md)\n"
-        "  --engine=functional|soa|arch deprecated alias of --exec\n"
-        "  --precision=double|fixed|float  deprecated alias of --exec\n"
-        "  --memory=ddr3|hmc-int|hmc-ext  deprecated alias of --exec\n"
-        "  --kernel-path=auto|scalar|blocked|simd  deprecated alias of\n"
-        "                               --exec (CENN_KERNEL_PATH still\n"
-        "                               overrides; simd ISA via\n"
-        "                               CENN_SIMD_ISA)\n";
+        "                               (CENN_EXEC and CENN_KERNEL_PATH\n"
+        "                               override; simd ISA via\n"
+        "                               CENN_SIMD_ISA; docs/runtime.md)\n";
   }
   if ((groups & kThreadsFlag) != 0) {
     out += "  --threads=N                  worker threads\n";

@@ -14,16 +14,13 @@
  * swallowed.
  *
  * Values are kept as strings here — src/util sits below the kernel
- * and program layers, so canonicalization (legacy engine spellings,
- * precision defaults) happens in runtime/engine_factory.h.
+ * and program layers, so canonicalization (precision defaults, kernel
+ * path enums) happens in runtime/engine_factory.h.
  *
  * Execution selection is the unified ExecPolicy (util/exec_policy.h):
- * `--exec=soa:simd:shards=8:pin=numa` is the canonical spelling, the
- * long flags (--engine, --precision, --memory, --kernel-path) still
- * parse as aliases with a once-per-process deprecation warning, and
- * the CENN_EXEC environment variable overrides whichever fields it
- * mentions (logged once). Precedence: defaults < legacy flags <
- * --exec < CENN_EXEC.
+ * `--exec=soa:simd:shards=8:pin=numa` is the one flag, and the
+ * CENN_EXEC environment variable overrides whichever fields it
+ * mentions (logged once). Precedence: defaults < --exec < CENN_EXEC.
  */
 
 #include <cstddef>
@@ -37,8 +34,7 @@ namespace cenn {
 
 /** Flag groups a tool can opt into (bitwise-or of these). */
 enum CommonFlagGroup : unsigned {
-  /** --exec plus legacy aliases --engine, --precision, --memory,
-   *  --kernel-path */
+  /** --exec */
   kEngineFlags = 1u << 0,
 
   /** --threads */
@@ -68,18 +64,13 @@ enum CommonFlagGroup : unsigned {
 struct CommonOptions {
   /**
    * How the run executes: engine, precision, memory, kernel path,
-   * shards, pinning, temporal-block depth. Assembled from --exec,
-   * the legacy long flags and CENN_EXEC; validated, so safe to hand
-   * to BuildEngine / ShardTeam directly.
+   * shards, pinning. Assembled from --exec and CENN_EXEC; validated,
+   * so safe to hand to BuildEngine / ShardTeam directly.
    */
   ExecPolicy exec;
 
-  /** Worker threads (band shards in cenn_run, pool in cenn_batch). */
+  /** Worker threads (the job pool in cenn_batch and cenn_serve). */
   int threads = 1;
-
-  /** True when --threads was given explicitly (cenn_run folds it
-   *  into exec.shards with a deprecation warning). */
-  bool threads_given = false;
 
   /** Named-stat dump file; .csv/.json extensions switch the format. */
   std::string stats_out;

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <mutex>
 #include <set>
-#include <vector>
+#include <span>
 
 #include "util/logging.h"
 
@@ -18,27 +17,59 @@ constexpr const char* kMemories[] = {"ddr3", "hmc-int", "hmc-ext"};
 constexpr const char* kKernelPaths[] = {"auto", "scalar", "blocked", "simd"};
 constexpr const char* kPins[] = {"none", "cores", "numa"};
 
-template <std::size_t N>
+/** One string-valued policy field: grammar key, diagnostic noun,
+ *  member, choices, and whether a bare choice token selects it. */
+struct ChoiceField {
+  const char* key;
+  const char* noun;
+  std::string ExecPolicy::*member;
+  std::span<const char* const> choices;
+  bool bare;
+};
+
+// Bare-token choice lists are disjoint, so a token names one field.
+const ChoiceField kChoiceFields[] = {
+    {"engine", "engine", &ExecPolicy::engine, kEngines, true},
+    {"precision", "precision", &ExecPolicy::precision, kPrecisions, true},
+    {"memory", "memory", &ExecPolicy::memory, kMemories, true},
+    {"kernel", "kernel path", &ExecPolicy::kernel_path, kKernelPaths, true},
+    {"pin", "pin mode", &ExecPolicy::pin, kPins, false},
+};
+
 bool
-OneOf(const std::string& value, const char* const (&choices)[N])
+OneOf(const std::string& value, std::span<const char* const> choices)
 {
-  return std::find_if(std::begin(choices), std::end(choices),
-                      [&value](const char* c) { return value == c; }) !=
-         std::end(choices);
+  return std::any_of(choices.begin(), choices.end(),
+                     [&value](const char* c) { return value == c; });
 }
 
-template <std::size_t N>
-std::string
-Join(const char* const (&choices)[N])
+/** Checks `value` against the field's choices; false with `*error`. */
+bool
+CheckChoice(const ChoiceField& field, const std::string& value,
+            std::string* error)
 {
-  std::string out;
-  for (const char* c : choices) {
-    if (!out.empty()) {
-      out += "|";
-    }
-    out += c;
+  if (OneOf(value, field.choices)) {
+    return true;
   }
-  return out;
+  std::string joined;
+  for (const char* c : field.choices) {
+    joined += (joined.empty() ? "" : "|") + std::string(c);
+  }
+  *error = std::string("unknown ") + field.noun + " '" + value + "' (" +
+           joined + ")";
+  return false;
+}
+
+/** The choice field spelled `key`, or nullptr. */
+const ChoiceField*
+FindField(const std::string& key)
+{
+  for (const ChoiceField& f : kChoiceFields) {
+    if (key == f.key) {
+      return &f;
+    }
+  }
+  return nullptr;
 }
 
 /** Parses a positive int; false on junk, zero or overflow. */
@@ -65,25 +96,10 @@ ParsePositiveInt(const std::string& value, int* out)
   return true;
 }
 
-/** One field assignment with set-twice detection. */
-bool
-SetField(unsigned field, unsigned* seen, std::string* target,
-         const std::string& value, const char* name, std::string* error)
-{
-  if ((*seen & field) != 0) {
-    *error = std::string("exec policy sets '") + name + "' twice";
-    return false;
-  }
-  *seen |= field;
-  *target = value;
-  return true;
-}
-
 }  // namespace
 
 bool
-ParseExecPolicy(const std::string& text, ExecPolicy* out, std::string* error,
-                unsigned* fields)
+ParseExecPolicy(const std::string& text, ExecPolicy* out, std::string* error)
 {
   CENN_ASSERT(out != nullptr && error != nullptr,
               "ParseExecPolicy: null output");
@@ -92,7 +108,7 @@ ParseExecPolicy(const std::string& text, ExecPolicy* out, std::string* error,
     return false;
   }
   ExecPolicy policy = *out;
-  unsigned seen = 0;
+  std::set<std::string> seen;
 
   std::size_t pos = 0;
   while (pos <= text.size()) {
@@ -106,117 +122,50 @@ ParseExecPolicy(const std::string& text, ExecPolicy* out, std::string* error,
     }
 
     const std::size_t eq = seg.find('=');
-    if (eq == std::string::npos) {
-      // Bare token: classify by the (disjoint) choice lists.
-      if (OneOf(seg, kEngines)) {
-        if (!SetField(kExecEngineField, &seen, &policy.engine, seg, "engine",
-                      error)) {
-          return false;
+    const std::string value =
+        eq == std::string::npos ? seg : seg.substr(eq + 1);
+    std::string key;
+    if (eq != std::string::npos) {
+      key = seg.substr(0, eq);
+    } else {
+      for (const ChoiceField& f : kChoiceFields) {
+        if (f.bare && OneOf(seg, f.choices)) {
+          key = f.key;
         }
-      } else if (OneOf(seg, kPrecisions)) {
-        if (!SetField(kExecPrecisionField, &seen, &policy.precision, seg,
-                      "precision", error)) {
-          return false;
-        }
-      } else if (OneOf(seg, kKernelPaths)) {
-        if (!SetField(kExecKernelField, &seen, &policy.kernel_path, seg,
-                      "kernel", error)) {
-          return false;
-        }
-      } else if (OneOf(seg, kMemories)) {
-        if (!SetField(kExecMemoryField, &seen, &policy.memory, seg, "memory",
-                      error)) {
-          return false;
-        }
-      } else {
+      }
+      if (key.empty()) {
         *error = "unknown exec token '" + seg +
                  "' (engine, precision, kernel path or memory name; or "
                  "key=value with keys engine|precision|memory|kernel|"
-                 "shards|pin|block)";
+                 "shards|pin)";
         return false;
       }
-      continue;
     }
 
-    const std::string key = seg.substr(0, eq);
-    const std::string value = seg.substr(eq + 1);
-    if (key == "engine") {
-      if (!OneOf(value, kEngines)) {
-        *error = "unknown engine '" + value + "' (" + Join(kEngines) + ")";
-        return false;
-      }
-      if (!SetField(kExecEngineField, &seen, &policy.engine, value, "engine",
-                    error)) {
-        return false;
-      }
-    } else if (key == "precision") {
-      if (!OneOf(value, kPrecisions)) {
-        *error = "unknown precision '" + value + "' (" + Join(kPrecisions) +
-                 ")";
-        return false;
-      }
-      if (!SetField(kExecPrecisionField, &seen, &policy.precision, value,
-                    "precision", error)) {
-        return false;
-      }
-    } else if (key == "memory") {
-      if (!OneOf(value, kMemories)) {
-        *error = "unknown memory '" + value + "' (" + Join(kMemories) + ")";
-        return false;
-      }
-      if (!SetField(kExecMemoryField, &seen, &policy.memory, value, "memory",
-                    error)) {
-        return false;
-      }
-    } else if (key == "kernel" || key == "kernel_path") {
-      if (!OneOf(value, kKernelPaths)) {
-        *error = "unknown kernel path '" + value + "' (" +
-                 Join(kKernelPaths) + ")";
-        return false;
-      }
-      if (!SetField(kExecKernelField, &seen, &policy.kernel_path, value,
-                    "kernel", error)) {
-        return false;
-      }
-    } else if (key == "pin") {
-      if (!OneOf(value, kPins)) {
-        *error = "unknown pin mode '" + value + "' (" + Join(kPins) + ")";
-        return false;
-      }
-      if (!SetField(kExecPinField, &seen, &policy.pin, value, "pin", error)) {
-        return false;
-      }
-    } else if (key == "shards") {
-      if ((seen & kExecShardsField) != 0) {
-        *error = "exec policy sets 'shards' twice";
-        return false;
-      }
+    const ChoiceField* field = FindField(key);
+    if (field == nullptr && key != "shards") {
+      *error = "unknown exec key '" + key +
+               "' (engine|precision|memory|kernel|shards|pin)";
+      return false;
+    }
+    if (!seen.insert(key).second) {
+      *error = "exec policy sets '" + key + "' twice";
+      return false;
+    }
+    if (field == nullptr) {
       if (!ParsePositiveInt(value, &policy.shards)) {
         *error = "shards '" + value + "' is not a positive integer";
         return false;
       }
-      seen |= kExecShardsField;
-    } else if (key == "block") {
-      if ((seen & kExecBlockField) != 0) {
-        *error = "exec policy sets 'block' twice";
-        return false;
-      }
-      if (!ParsePositiveInt(value, &policy.block_steps)) {
-        *error = "block '" + value + "' is not a positive integer";
-        return false;
-      }
-      seen |= kExecBlockField;
     } else {
-      *error = "unknown exec key '" + key +
-               "' (engine|precision|memory|kernel|shards|pin|block)";
-      return false;
+      if (!CheckChoice(*field, value, error)) {
+        return false;
+      }
+      policy.*(field->member) = value;
     }
   }
 
   *out = policy;
-  if (fields != nullptr) {
-    *fields = seen;
-  }
   return true;
 }
 
@@ -224,56 +173,23 @@ bool
 ValidateExecPolicy(const ExecPolicy& policy, std::string* error)
 {
   CENN_ASSERT(error != nullptr, "ValidateExecPolicy: null error");
-  if (!OneOf(policy.engine, kEngines)) {
-    *error = "unknown engine '" + policy.engine + "' (" + Join(kEngines) +
-             ")";
-    return false;
-  }
-  if (!policy.precision.empty() && !OneOf(policy.precision, kPrecisions)) {
-    *error = "unknown precision '" + policy.precision + "' (" +
-             Join(kPrecisions) + ")";
-    return false;
-  }
-  if (!OneOf(policy.memory, kMemories)) {
-    *error = "unknown memory '" + policy.memory + "' (" + Join(kMemories) +
-             ")";
-    return false;
-  }
-  if (!OneOf(policy.kernel_path, kKernelPaths)) {
-    *error = "unknown kernel path '" + policy.kernel_path + "' (" +
-             Join(kKernelPaths) + ")";
-    return false;
-  }
-  if (!OneOf(policy.pin, kPins)) {
-    *error = "unknown pin mode '" + policy.pin + "' (" + Join(kPins) + ")";
-    return false;
+  for (const ChoiceField& f : kChoiceFields) {
+    const std::string& value = policy.*(f.member);
+    // An empty precision means the engine default.
+    const bool defaulted =
+        f.member == &ExecPolicy::precision && value.empty();
+    if (!defaulted && !CheckChoice(f, value, error)) {
+      return false;
+    }
   }
   if (policy.shards < 1) {
     *error = "shards must be >= 1";
-    return false;
-  }
-  if (policy.block_steps < 1) {
-    *error = "block must be >= 1";
     return false;
   }
   if (policy.precision == "float" && policy.engine != "soa") {
     *error = "precision 'float' is only available on the soa engine, not '" +
              policy.engine + "'";
     return false;
-  }
-  if (policy.block_steps > 1) {
-    // Temporal blocking steps private band copies with reordered halo
-    // exchange; only the LUT-free soa paths carry that contract.
-    if (policy.engine != "soa" ||
-        (policy.precision != "double" && policy.precision != "float")) {
-      *error = "block > 1 (temporal blocking) requires the soa engine at "
-               "double or float precision (got engine '" + policy.engine +
-               "', precision '" +
-               (policy.precision.empty() ? "<default fixed>"
-                                         : policy.precision) +
-               "')";
-      return false;
-    }
   }
   return true;
 }
@@ -297,24 +213,7 @@ FormatExecPolicy(const ExecPolicy& policy)
   if (policy.pin != "none") {
     out += ":pin=" + policy.pin;
   }
-  if (policy.block_steps != 1) {
-    out += ":block=" + std::to_string(policy.block_steps);
-  }
   return out;
-}
-
-void
-WarnDeprecatedOnce(const std::string& legacy, const std::string& replacement)
-{
-  static std::mutex mu;
-  static std::set<std::string>* warned = new std::set<std::string>();
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!warned->insert(legacy).second) {
-      return;
-    }
-  }
-  CENN_WARN("deprecated: ", legacy, " - use ", replacement);
 }
 
 }  // namespace cenn

@@ -6,29 +6,23 @@
  * ExecPolicy — the one value type that says *how* a solver run
  * executes.
  *
- * Engine selection, numeric precision, kernel path, band-shard count,
- * worker-team pinning and temporal-block depth used to travel as five
- * ad-hoc parameters (`--engine`, `--kernel-path`, `--shards`, env
- * overrides, per-tool flag groups) that every frontend re-plumbed.
- * ExecPolicy replaces them with a single parse/validate/print spelling
- * shared by CLI flags (`--exec=...`), manifest keys (`exec=...`), the
- * serve submit JSON (`"exec": "..."`) and the CENN_EXEC environment
- * override.
+ * Engine selection, numeric precision, memory system, kernel path,
+ * band-shard count and worker-team pinning have a single
+ * parse/validate/print spelling shared by CLI flags (`--exec=...`),
+ * manifest keys (`exec=...`), the serve submit JSON
+ * (`"exec": "..."`) and the CENN_EXEC environment override.
  *
  * Grammar: colon-separated segments, each either `key=value` or a
  * bare token whose class is unambiguous:
  *
  *     --exec=soa:simd:shards=8:pin=numa
  *     --exec=functional:double
- *     --exec=soa:double:blocked:shards=4:block=8
+ *     --exec=soa:double:blocked:shards=4
  *
- * Keys: engine, precision, memory, kernel (alias kernel_path),
- * shards, pin, block. Bare tokens: engine names (functional|soa|
- * arch), precisions (double|fixed|float), kernel paths (auto|scalar|
- * blocked|simd) and memory systems (ddr3|hmc-int|hmc-ext). A bare
- * `double` or `fixed` sets the *precision* — combined with the
- * functional default engine this matches the legacy manifest meaning
- * of `engine=double` exactly.
+ * Keys: engine, precision, memory, kernel, shards, pin. Bare tokens:
+ * engine names (functional|soa|arch), precisions (double|fixed|
+ * float), kernel paths (auto|scalar|blocked|simd) and memory systems
+ * (ddr3|hmc-int|hmc-ext).
  *
  * Values are kept as strings (src/util sits below the kernel layer);
  * canonicalization to enums happens in runtime/engine_factory.h. The
@@ -60,64 +54,33 @@ struct ExecPolicy {
   /** Worker pinning: "none", "cores" or "numa" (round-robin nodes). */
   std::string pin = "none";
 
-  /**
-   * Temporal-block depth: Euler steps each worker advances its
-   * cache-resident band copy per halo exchange (1 = classic two-phase
-   * stepping). >1 requires the soa engine at double/float — the
-   * LUT-light paths where the ULP contract permits reordered halo
-   * exchange (docs/runtime.md).
-   */
-  int block_steps = 1;
-
   bool operator==(const ExecPolicy&) const = default;
-};
-
-/** Bitmask of ExecPolicy fields a parse explicitly set. */
-enum ExecPolicyField : unsigned {
-  kExecEngineField = 1u << 0,
-  kExecPrecisionField = 1u << 1,
-  kExecMemoryField = 1u << 2,
-  kExecKernelField = 1u << 3,
-  kExecShardsField = 1u << 4,
-  kExecPinField = 1u << 5,
-  kExecBlockField = 1u << 6,
 };
 
 /**
  * Parses the grammar above into `*out`, overriding only the fields
  * the text mentions (merge semantics: seed `*out` with defaults or a
  * lower-precedence policy first). Setting the same field twice in one
- * spec is an error. Returns false with a one-line `*error`; on
- * success `*fields` (when non-null) receives the ExecPolicyField mask
- * of what was set. Parsing checks per-field choices; cross-field
- * rules live in ValidateExecPolicy.
+ * spec is an error. Returns false with a one-line `*error`. Parsing
+ * checks per-field choices; cross-field rules live in
+ * ValidateExecPolicy.
  */
 bool ParseExecPolicy(const std::string& text, ExecPolicy* out,
-                     std::string* error, unsigned* fields = nullptr);
+                     std::string* error);
 
 /**
- * Whole-policy validation: every field one of its choices, shards and
- * block >= 1, float precision soa-only, block > 1 only on soa at
- * double/float. A policy passing this never trips CENN_FATAL in
- * NormalizeEngineRequest. Returns false with a one-line `*error`.
+ * Whole-policy validation: every field one of its choices, shards
+ * >= 1, float precision soa-only. A policy passing this never trips
+ * CENN_FATAL in BuildEngine. Returns false with a one-line `*error`.
  */
 bool ValidateExecPolicy(const ExecPolicy& policy, std::string* error);
 
 /**
  * Canonical spelling: engine first, then every non-default field
- * ("soa:double:simd:shards=8:pin=numa:block=4"). Round-trips:
- * parsing the result reproduces `policy` exactly.
+ * ("soa:double:simd:shards=8:pin=numa"). Round-trips: parsing the
+ * result reproduces `policy` exactly.
  */
 std::string FormatExecPolicy(const ExecPolicy& policy);
-
-/**
- * Logs "deprecated: <legacy> - use <replacement>" once per process
- * per distinct `legacy` string — the shared warn-once used by every
- * frontend that still accepts a legacy spelling (--engine,
- * --kernel-path, manifest engine=/shards= keys, cenn_run --threads).
- */
-void WarnDeprecatedOnce(const std::string& legacy,
-                        const std::string& replacement);
 
 }  // namespace cenn
 

@@ -51,7 +51,10 @@ std::string
 Format(Args&&... args)
 {
   std::ostringstream os;
-  (os << ... << std::forward<Args>(args));
+  // An empty pack would fold to a bare `os;` (-Wunused-value).
+  if constexpr (sizeof...(Args) > 0) {
+    (os << ... << std::forward<Args>(args));
+  }
   return os.str();
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Engine interface tests: backend identity and capability flags, the
- * engine factory's request normalization, the band-phase protocol on
+ * engine factory's policy validation, the band-phase protocol on
  * MultilayerCenn, the shared CommonOptions parser, the Engine-generic
  * steady-state search, and SolverSession driving an arbitrary engine.
  */
@@ -36,6 +36,16 @@ ModelProgram(const std::string& name, std::size_t rows, std::size_t cols)
   return MakeProgram(*MakeModel(name, mc));
 }
 
+/** A policy on `engine` at `precision` (empty = engine default). */
+ExecPolicy
+Policy(const std::string& engine, const std::string& precision = "")
+{
+  ExecPolicy policy;
+  policy.engine = engine;
+  policy.precision = precision;
+  return policy;
+}
+
 /** CliFlags over a literal argv (argv[0] is the program name). */
 CliFlags
 Flags(std::vector<std::string> args)
@@ -56,70 +66,43 @@ TEST(EngineFactoryTest, BuildsEveryBackendBehindTheSameInterface)
 {
   const SolverProgram program = ModelProgram("heat", 12, 12);
 
-  EngineRequest req;
-  req.engine = "functional";
-  EXPECT_STREQ(BuildEngine(program, req)->Kind(), "functional");
-  req.engine = "soa";
-  EXPECT_STREQ(BuildEngine(program, req)->Kind(), "soa");
-  req.engine = "arch";
-  EXPECT_STREQ(BuildEngine(program, req)->Kind(), "arch");
-  req.engine = "soa";
-  req.precision = "float";
-  EXPECT_STREQ(BuildEngine(program, req)->Kind(), "soa");
-}
-
-TEST(EngineFactoryTest, LegacyEngineSpellingsNormalize)
-{
-  EngineRequest req;
-  req.engine = "double";
-  EngineRequest norm = NormalizeEngineRequest(req);
-  EXPECT_EQ(norm.engine, "functional");
-  EXPECT_EQ(norm.precision, "double");
-
-  req.engine = "fixed";
-  norm = NormalizeEngineRequest(req);
-  EXPECT_EQ(norm.engine, "functional");
-  EXPECT_EQ(norm.precision, "fixed");
+  EXPECT_STREQ(BuildEngine(program, Policy("functional"))->Kind(),
+               "functional");
+  EXPECT_STREQ(BuildEngine(program, Policy("soa"))->Kind(), "soa");
+  EXPECT_STREQ(BuildEngine(program, Policy("arch"))->Kind(), "arch");
+  EXPECT_STREQ(BuildEngine(program, Policy("soa", "float"))->Kind(), "soa");
 }
 
 TEST(EngineFactoryDeathTest, RejectsUnknownAndUnsupportedRequests)
 {
-  EngineRequest req;
-  req.engine = "gpu";
-  EXPECT_DEATH(NormalizeEngineRequest(req), "not functional, soa or arch");
-
-  req = EngineRequest{};
-  req.precision = "half";
-  EXPECT_DEATH(NormalizeEngineRequest(req), "not double, fixed or float");
-
-  req = EngineRequest{};
-  req.engine = "functional";
-  req.precision = "float";
-  EXPECT_DEATH(NormalizeEngineRequest(req), "only available on the soa");
-
-  req = EngineRequest{};
-  req.memory = "sram";
-  EXPECT_DEATH(NormalizeEngineRequest(req), "not ddr3");
+  const SolverProgram program = ModelProgram("heat", 8, 8);
+  EXPECT_DEATH(BuildEngine(program, Policy("gpu")), "unknown engine 'gpu'");
+  EXPECT_DEATH(BuildEngine(program, Policy("functional", "half")),
+               "unknown precision 'half'");
+  // `double` is a precision, never an engine name.
+  EXPECT_DEATH(BuildEngine(program, Policy("double")),
+               "unknown engine 'double'");
+  EXPECT_DEATH(BuildEngine(program, Policy("functional", "float")),
+               "only available on the soa");
+  EXPECT_DEATH(MakeLutRefitter(program, Policy("arch", "float")),
+               "only available on the soa");
+  ExecPolicy sram;
+  sram.memory = "sram";
+  EXPECT_DEATH(BuildEngine(program, sram), "unknown memory 'sram'");
 }
 
 TEST(EngineTest, BackendsReportBandSupport)
 {
   const SolverProgram program = ModelProgram("heat", 12, 12);
-  EngineRequest req;
-  req.engine = "functional";
-  EXPECT_TRUE(BuildEngine(program, req)->SupportsBands());
-  req.engine = "soa";
-  EXPECT_TRUE(BuildEngine(program, req)->SupportsBands());
-  req.engine = "arch";
-  EXPECT_FALSE(BuildEngine(program, req)->SupportsBands());
+  EXPECT_TRUE(BuildEngine(program, Policy("functional"))->SupportsBands());
+  EXPECT_TRUE(BuildEngine(program, Policy("soa"))->SupportsBands());
+  EXPECT_FALSE(BuildEngine(program, Policy("arch"))->SupportsBands());
 }
 
 TEST(EngineTest, DefaultBindStatsPublishesStepsAndTime)
 {
   const SolverProgram program = ModelProgram("heat", 12, 12);
-  EngineRequest req;
-  req.engine = "soa";
-  const auto engine = BuildEngine(program, req);
+  const auto engine = BuildEngine(program, Policy("soa"));
   engine->Run(5);
 
   StatRegistry registry;
@@ -191,10 +174,7 @@ TEST(EngineTest, RunUntilSteadyWorksOnAnyBackend)
 {
   const SolverProgram program = ModelProgram("poisson", 12, 12);
   for (const char* kind : {"functional", "soa"}) {
-    EngineRequest req;
-    req.engine = kind;
-    req.precision = "double";
-    const auto engine = BuildEngine(program, req);
+    const auto engine = BuildEngine(program, Policy(kind, "double"));
     const auto result = RunUntilSteady(*engine, 1e-7, 20000);
     EXPECT_TRUE(result.converged) << kind;
     EXPECT_EQ(engine->Steps(), result.steps_taken) << kind;
@@ -236,15 +216,12 @@ TEST(EngineSessionTest, SoaSessionMatchesFunctionalSessionChecksum)
   sc.slice_steps = 8;
   sc.exec.shards = 3;
 
-  EngineRequest req;
-  req.engine = "soa";
-  SolverSession soa(BuildEngine(program, req), sc);
+  SolverSession soa(BuildEngine(program, Policy("soa")), sc);
   soa.RunToTarget();
 
   sc.name = "ref";
   sc.exec.shards = 1;
-  req.engine = "functional";
-  SolverSession ref(BuildEngine(program, req), sc);
+  SolverSession ref(BuildEngine(program, Policy("functional")), sc);
   ref.RunToTarget();
 
   EXPECT_EQ(soa.State(), SessionState::kDone);
@@ -260,9 +237,7 @@ TEST(EngineSessionTest, NonBandEngineClampsShardsWithWarning)
   sc.slice_steps = 4;
   sc.exec.shards = 4;  // arch cannot band-step; session clamps to 1
 
-  EngineRequest req;
-  req.engine = "arch";
-  SolverSession session(BuildEngine(program, req), sc);
+  SolverSession session(BuildEngine(program, Policy("arch")), sc);
   EXPECT_EQ(session.RunToTarget(), 10u);
   EXPECT_EQ(session.StepsDone(), 10u);
 }
@@ -272,8 +247,7 @@ TEST(EngineSessionTest, NonBandEngineClampsShardsWithWarning)
 
 TEST(CommonOptionsTest, ParsesAllGroupsWithDefaults)
 {
-  CliFlags flags = Flags({"--engine=soa", "--precision=float",
-                          "--kernel-path=scalar", "--threads=3",
+  CliFlags flags = Flags({"--exec=soa:float:scalar", "--threads=3",
                           "--stats-out=s.json", "--trace-out=t.json",
                           "--trace-categories=step,conv",
                           "--trace-capacity=1024", "--progress"});
@@ -348,17 +322,19 @@ TEST(CommonOptionsTest, CallerDefaultsSurviveWhenFlagsAbsent)
   EXPECT_EQ(opts.exec.precision, "fixed");
 }
 
-TEST(CommonOptionsTest, ExecFlagOverridesLegacyAliases)
+TEST(CommonOptionsDeathTest, RemovedExecAliasFlagsAreRejected)
 {
-  // Precedence: defaults < legacy long flags < --exec < CENN_EXEC.
-  CliFlags flags =
-      Flags({"--engine=arch", "--kernel-path=scalar",
-             "--exec=soa:simd:shards=4"});
-  const CommonOptions opts = ParseCommonOptions(flags, kEngineFlags);
-  flags.Validate();
-  EXPECT_EQ(opts.exec.engine, "soa");
-  EXPECT_EQ(opts.exec.kernel_path, "simd");
-  EXPECT_EQ(opts.exec.shards, 4);
+  // --exec is the one execution flag: the old per-field flags die in
+  // Validate like any other unknown flag instead of steering the run.
+  for (const char* flag : {"--engine=soa", "--precision=double",
+                           "--memory=hmc-int", "--kernel-path=simd"}) {
+    CliFlags flags = Flags({flag});
+    const CommonOptions opts = ParseCommonOptions(flags, kEngineFlags);
+    EXPECT_EQ(opts.exec, ExecPolicy{}) << flag;
+    const std::string name =
+        std::string(flag).substr(0, std::string(flag).find('='));
+    EXPECT_DEATH(flags.Validate(), "unknown flag " + name) << flag;
+  }
 }
 
 TEST(CommonOptionsTest, CennExecEnvOutranksExecFlag)
@@ -382,32 +358,44 @@ TEST(ExecPolicyTest, ParsesBareTokensAndKeyValues)
 {
   ExecPolicy policy;
   std::string error;
-  unsigned fields = 0;
   ASSERT_TRUE(ParseExecPolicy("soa:simd:shards=8:pin=numa", &policy,
-                              &error, &fields))
+                              &error))
       << error;
-  EXPECT_EQ(policy.engine, "soa");
-  EXPECT_EQ(policy.kernel_path, "simd");
-  EXPECT_EQ(policy.shards, 8);
-  EXPECT_EQ(policy.pin, "numa");
-  EXPECT_EQ(fields, kExecEngineField | kExecKernelField |
-                        kExecShardsField | kExecPinField);
+  ExecPolicy expected;
+  expected.engine = "soa";
+  expected.kernel_path = "simd";
+  expected.shards = 8;
+  expected.pin = "numa";
+  EXPECT_EQ(policy, expected);
 
-  // A bare double/fixed sets the *precision* (legacy engine=double
-  // meant "functional at double").
-  ExecPolicy legacy;
-  ASSERT_TRUE(ParseExecPolicy("double", &legacy, &error)) << error;
-  EXPECT_EQ(legacy.engine, "functional");
-  EXPECT_EQ(legacy.precision, "double");
+  // A bare double/fixed sets the precision; the engine keeps its
+  // default.
+  ExecPolicy bare;
+  ASSERT_TRUE(ParseExecPolicy("double", &bare, &error)) << error;
+  EXPECT_EQ(bare.engine, "functional");
+  EXPECT_EQ(bare.precision, "double");
 
   ExecPolicy keyed;
   ASSERT_TRUE(ParseExecPolicy(
-      "engine=soa:precision=float:kernel=blocked:block=8", &keyed, &error))
+      "engine=soa:precision=float:kernel=blocked:memory=hmc-ext", &keyed,
+      &error))
       << error;
   EXPECT_EQ(keyed.engine, "soa");
   EXPECT_EQ(keyed.precision, "float");
   EXPECT_EQ(keyed.kernel_path, "blocked");
-  EXPECT_EQ(keyed.block_steps, 8);
+  EXPECT_EQ(keyed.memory, "hmc-ext");
+}
+
+TEST(ExecPolicyTest, RemovedKeysAreRejected)
+{
+  // kernel= is the one kernel key, and temporal blocking is gone.
+  for (const char* text : {"kernel_path=simd", "block=4", "soa:block=1"}) {
+    ExecPolicy policy;
+    std::string error;
+    EXPECT_FALSE(ParseExecPolicy(text, &policy, &error)) << text;
+    EXPECT_NE(error.find("unknown exec key"), std::string::npos) << error;
+    EXPECT_EQ(policy, ExecPolicy{}) << text;
+  }
 }
 
 TEST(ExecPolicyTest, MergeOverridesOnlyMentionedFields)
@@ -433,7 +421,8 @@ TEST(ExecPolicyTest, RejectsUnknownTokensDuplicatesAndBadCounts)
   EXPECT_FALSE(ParseExecPolicy("soa:functional", &policy, &error));
   EXPECT_NE(error.find("twice"), std::string::npos);
   EXPECT_FALSE(ParseExecPolicy("shards=0", &policy, &error));
-  EXPECT_FALSE(ParseExecPolicy("block=x", &policy, &error));
+  EXPECT_FALSE(ParseExecPolicy("shards=x", &policy, &error));
+  EXPECT_FALSE(ParseExecPolicy("pin=all", &policy, &error));
   EXPECT_FALSE(ParseExecPolicy("engine=gpu", &policy, &error));
   EXPECT_FALSE(ParseExecPolicy("", &policy, &error));
   EXPECT_FALSE(ParseExecPolicy("soa::simd", &policy, &error));
@@ -450,9 +439,8 @@ TEST(ExecPolicyTest, FormatRoundTripsAndOmitsDefaults)
   full.kernel_path = "simd";
   full.shards = 8;
   full.pin = "numa";
-  full.block_steps = 4;
   const std::string text = FormatExecPolicy(full);
-  EXPECT_EQ(text, "soa:double:simd:shards=8:pin=numa:block=4");
+  EXPECT_EQ(text, "soa:double:simd:shards=8:pin=numa");
 
   ExecPolicy reparsed;
   std::string error;
@@ -463,27 +451,17 @@ TEST(ExecPolicyTest, FormatRoundTripsAndOmitsDefaults)
 TEST(ExecPolicyTest, ValidateEnforcesCrossFieldRules)
 {
   std::string error;
-  ExecPolicy ok;
-  ok.engine = "soa";
-  ok.precision = "double";
-  ok.block_steps = 4;
-  EXPECT_TRUE(ValidateExecPolicy(ok, &error)) << error;
+  EXPECT_TRUE(ValidateExecPolicy(Policy("soa", "float"), &error)) << error;
+  EXPECT_TRUE(ValidateExecPolicy(Policy("arch"), &error)) << error;
 
-  ExecPolicy float_functional;
-  float_functional.precision = "float";
-  EXPECT_FALSE(ValidateExecPolicy(float_functional, &error));
+  EXPECT_FALSE(ValidateExecPolicy(Policy("functional", "float"), &error));
   EXPECT_NE(error.find("float"), std::string::npos);
+  EXPECT_FALSE(ValidateExecPolicy(Policy("arch", "float"), &error));
 
-  ExecPolicy block_functional;
-  block_functional.block_steps = 4;
-  EXPECT_FALSE(ValidateExecPolicy(block_functional, &error));
-  EXPECT_NE(error.find("temporal blocking"), std::string::npos);
-
-  ExecPolicy block_fixed;
-  block_fixed.engine = "soa";
-  block_fixed.precision = "fixed";
-  block_fixed.block_steps = 4;
-  EXPECT_FALSE(ValidateExecPolicy(block_fixed, &error));
+  ExecPolicy no_shards;
+  no_shards.shards = 0;
+  EXPECT_FALSE(ValidateExecPolicy(no_shards, &error));
+  EXPECT_NE(error.find("shards"), std::string::npos);
 }
 
 TEST(ExecPolicyTest, KernelChoicesStayInSyncWithKernelPathParser)
@@ -505,28 +483,14 @@ TEST(ExecPolicyTest, KernelChoicesStayInSyncWithKernelPathParser)
   }
 }
 
-TEST(ExecPolicyTest, ToEngineRequestCanonicalizes)
-{
-  ExecPolicy policy;
-  std::string error;
-  ASSERT_TRUE(
-      ParseExecPolicy("soa:double:simd:shards=8", &policy, &error));
-  const EngineRequest req = ToEngineRequest(policy);
-  EXPECT_EQ(req.engine, "soa");
-  EXPECT_EQ(req.precision, "double");
-  EXPECT_EQ(req.memory, "ddr3");
-  EXPECT_EQ(req.kernel_path, KernelPath::kSimd);
-
-  // Empty policy precision keeps the request's engine default.
-  const EngineRequest defaulted = ToEngineRequest(ExecPolicy{});
-  EXPECT_EQ(defaulted.precision, "fixed");
-}
-
 TEST(ExecPolicyDeathTest, ToEngineRequestRejectsInvalidPolicies)
 {
+  // Turning a policy into an engine is BuildEngine's job; a policy
+  // that fails ValidateExecPolicy is fatal there.
+  const SolverProgram program = ModelProgram("heat", 8, 8);
   ExecPolicy bad;
   bad.precision = "float";  // float is soa-only
-  EXPECT_DEATH(ToEngineRequest(bad), "exec policy");
+  EXPECT_DEATH(BuildEngine(program, bad), "exec policy");
 }
 
 }  // namespace

@@ -330,8 +330,7 @@ TEST(HealthSessionTest, GuardTripFaultsSessionAndCheckpointRestoreResumes)
   const std::string ckpt = dir + "/s.ckpt";
 
   const SolverProgram program = ModelProgram("reaction_diffusion", 12, 12);
-  EngineRequest req;
-  req.engine = "functional";
+  ExecPolicy req;
   req.precision = "double";
 
   // Reference: clean run to 60 steps.

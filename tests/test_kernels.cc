@@ -31,7 +31,6 @@
 #include "models/benchmark_model.h"
 #include "kernels/kernel_path.h"
 #include "program/checkpoint.h"
-#include "runtime/sharded_stepper.h"
 #include "runtime/worker_team.h"
 
 namespace cenn {
@@ -55,6 +54,15 @@ LutFixedOptions(const SolverProgram& program)
       LutStore::Global().Acquire(program.spec, program.lut_config);
   options.fixed_evaluator = std::make_shared<LutEvaluatorFixed>(bank);
   return options;
+}
+
+/** Steps `engine` `steps` times on a `shards`-band team, one dispatch. */
+void
+RunTeam(Engine* engine, std::uint64_t steps, int shards)
+{
+  TeamOptions options;
+  options.shards = shards;
+  ShardTeam(engine, options).Run(steps);
 }
 
 /** Asserts every layer of two engines is bit-identical (as f64). */
@@ -114,7 +122,7 @@ TEST(SoaEngineSweepTest, ShardedBitExactVsFunctionalAllModels)
     reference->Run(kSteps);
     for (int shards : {1, 3, 7}) {
       const auto soa = MakeSoaEngine(program.spec, options);
-      RunSharded(soa.get(), kSteps, shards);
+      RunTeam(soa.get(), kSteps, shards);
       ExpectSameState(*reference, *soa,
                       name + "/fixed/shards=" + std::to_string(shards));
     }
@@ -354,8 +362,8 @@ TEST(SimdFuzzTest, DifferentialSweepScalarBlockedSimd)
       const auto simd =
           MakeSoaEngineFloat(program.spec, nullptr, KernelPath::kSimd);
       scalar->Run(steps);
-      RunSharded(blocked.get(), steps, shards);
-      RunSharded(simd.get(), steps, shards);
+      RunTeam(blocked.get(), steps, shards);
+      RunTeam(simd.get(), steps, shards);
       ExpectSameState(*scalar, *blocked, desc.str() + " [blocked]");
       ExpectUlpClose(*scalar, *simd, /*as_float=*/true, kMaxUlp,
                      desc.str() + " [simd]");
@@ -384,8 +392,8 @@ TEST(SimdFuzzTest, DifferentialSweepScalarBlockedSimd)
     const auto simd =
         MakeSoaEngine(program.spec, options, KernelPath::kSimd);
     scalar->Run(steps);
-    RunSharded(blocked.get(), steps, shards);
-    RunSharded(simd.get(), steps, shards);
+    RunTeam(blocked.get(), steps, shards);
+    RunTeam(simd.get(), steps, shards);
     ExpectSameState(*scalar, *blocked, desc.str() + " [blocked]");
     if (precision == "fixed") {
       // Fixed32 simd is the blocked fallback: bit-exact, no ULP slack.
@@ -408,7 +416,7 @@ CountLutTraffic(Engine* engine, std::uint64_t steps, int shards)
   engine->AttachLutTraffic(&sink);
   if (shards > 1) {
     // Band workers install their own scoped tallies.
-    RunSharded(engine, steps, shards);
+    RunTeam(engine, steps, shards);
   } else {
     ScopedLutTally tally(engine->AttachedLutTraffic());
     engine->Run(steps);
@@ -485,47 +493,9 @@ TEST(SoaEngineTest, DetachedLutTrafficCostsNothingAndCountsNothing)
 // ---------------------------------------------------------------------------
 // Fused persistent-team stepping (runtime/worker_team.h)
 
-/** ULP distance between two doubles (same-sign finite values). */
-std::uint64_t
-UlpDistance(double a, double b)
-{
-  if (a == b) {
-    return 0;
-  }
-  std::int64_t ia = 0;
-  std::int64_t ib = 0;
-  std::memcpy(&ia, &a, sizeof(ia));
-  std::memcpy(&ib, &b, sizeof(ib));
-  // Map to a lexicographically ordered integer line.
-  const auto order = [](std::int64_t v) {
-    return v < 0 ? std::numeric_limits<std::int64_t>::min() - v : v;
-  };
-  ia = order(ia);
-  ib = order(ib);
-  return static_cast<std::uint64_t>(ia > ib ? ia - ib : ib - ia);
-}
-
-/** Asserts two engines agree within `max_ulp` on every cell. */
-void
-ExpectStateWithinUlp(const Engine& a, const Engine& b,
-                     std::uint64_t max_ulp, const std::string& context)
-{
-  ASSERT_EQ(a.Spec().NumLayers(), b.Spec().NumLayers()) << context;
-  for (int l = 0; l < a.Spec().NumLayers(); ++l) {
-    const std::vector<double> va = a.Snapshot(l);
-    const std::vector<double> vb = b.Snapshot(l);
-    ASSERT_EQ(va.size(), vb.size()) << context;
-    for (std::size_t i = 0; i < va.size(); ++i) {
-      ASSERT_LE(UlpDistance(va[i], vb[i]), max_ulp)
-          << context << ": layer " << l << " cell " << i << " serial="
-          << va[i] << " fused=" << vb[i];
-    }
-  }
-}
-
 /**
  * The tentpole exactness contract: a persistent ShardTeam — dispatched
- * twice to exercise worker reuse — and a one-shot RunSharded both
+ * twice to exercise worker reuse — and a team run in one dispatch both
  * reproduce serial stepping bit-for-bit, for every bundled Euler
  * model, both precisions, every kernel path and ragged shard counts.
  */
@@ -565,81 +535,14 @@ TEST(FusedTeamSweepTest, PersistentTeamBitExactAllModelsPathsShards)
           }
           ExpectSameState(*serial, *fused, context + "/persistent");
 
-          // One-shot wrapper takes the identical code path.
+          // One team, one dispatch.
           const auto oneshot = MakeSoaEngine(program.spec, options, path);
-          RunSharded(oneshot.get(), kSteps, shards);
+          RunTeam(oneshot.get(), kSteps, shards);
           ExpectSameState(*serial, *oneshot, context + "/oneshot");
         }
       }
     }
   }
-}
-
-/**
- * Temporal blocking (block_steps = T > 1) steps private band clones T
- * Euler steps per halo exchange. For the non-FMA scalar/blocked paths
- * the published state is bit-exact vs serial; the SIMD path keeps the
- * documented <= 4 ULP contract. Step counts that do not divide T
- * exercise the short tail block.
- */
-TEST(TemporalBlockingTest, MatchesSerialWithinKernelPathContract)
-{
-  constexpr std::uint64_t kSteps = 10;  // 3 blocks of T=4: 4+4+2
-  for (const std::string& name : {std::string("heat"),
-                                  std::string("reaction_diffusion")}) {
-    const SolverProgram program = ModelProgram(name, 24, 16);
-    if (program.spec.integrator != Integrator::kEuler) {
-      continue;
-    }
-    SolverOptions options;
-    options.precision = Precision::kDouble;
-    for (const KernelPath path :
-         {KernelPath::kScalar, KernelPath::kBlocked, KernelPath::kSimd}) {
-      const auto serial = MakeSoaEngine(program.spec, options, path);
-      serial->Run(kSteps);
-
-      const auto fused = MakeSoaEngine(program.spec, options, path);
-      TeamOptions to;
-      to.shards = 3;
-      to.block_steps = 4;
-      ShardTeam team(fused.get(), to);
-      ASSERT_TRUE(team.TemporalBlocking())
-          << name << "/" << KernelPathName(path);
-      team.Run(kSteps);
-
-      const std::string context = name + "/temporal/" +
-                                  KernelPathName(path);
-      if (path == KernelPath::kSimd) {
-        ExpectStateWithinUlp(*serial, *fused, 4, context);
-      } else {
-        ExpectSameState(*serial, *fused, context);
-      }
-    }
-  }
-}
-
-/**
- * Fixed32 has no band clones, so block_steps > 1 must fall back to
- * classic two-phase stepping (still bit-exact) instead of corrupting
- * state or crashing.
- */
-TEST(TemporalBlockingTest, Fixed32FallsBackToClassicStepping)
-{
-  constexpr std::uint64_t kSteps = 8;
-  const SolverProgram program = ModelProgram("heat", 16, 16);
-  const SolverOptions options = LutFixedOptions(program);
-
-  const auto serial = MakeSoaEngine(program.spec, options);
-  serial->Run(kSteps);
-
-  const auto fused = MakeSoaEngine(program.spec, options);
-  TeamOptions to;
-  to.shards = 3;
-  to.block_steps = 4;
-  ShardTeam team(fused.get(), to);
-  EXPECT_FALSE(team.TemporalBlocking());
-  team.Run(kSteps);
-  ExpectSameState(*serial, *fused, "fixed/temporal-fallback");
 }
 
 }  // namespace

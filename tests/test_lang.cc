@@ -98,16 +98,14 @@ std::uint64_t
 RunChecksum(const SolverProgram& program, const std::string& engine,
             const std::string& precision, int shards, std::uint64_t steps)
 {
-  EngineRequest req;
-  req.engine = engine;
-  req.precision = precision;
   SessionConfig cfg;
   cfg.name = "equiv";
+  cfg.exec.engine = engine;
+  cfg.exec.precision = precision;
   cfg.exec.shards = shards;
   cfg.target_steps = steps;
   cfg.slice_steps = 4;  // several slices even on tiny runs
-  SolverSession session(BuildEngine(program, NormalizeEngineRequest(req)),
-                        cfg);
+  SolverSession session(BuildEngine(program, cfg.exec), cfg);
   session.RunToTarget();
   return session.StateChecksum();
 }
@@ -195,14 +193,11 @@ TEST(ScenarioOnlyTest, MaxcutConvergesToAnAntiAlignedCut)
   // random signs cut half).
   const lang::CompiledScenario scenario = CompileZoo("maxcut_grid");
   const SolverProgram program = lang::MakeScenarioProgram(scenario);
-  EngineRequest req;
-  req.engine = "functional";
-  req.precision = "double";
   SessionConfig cfg;
   cfg.name = "maxcut";
+  cfg.exec.precision = "double";
   cfg.target_steps = scenario.default_steps;
-  SolverSession session(BuildEngine(program, NormalizeEngineRequest(req)),
-                        cfg);
+  SolverSession session(BuildEngine(program, cfg.exec), cfg);
   session.RunToTarget();
 
   const std::size_t rows = scenario.system.rows;

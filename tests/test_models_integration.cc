@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/network.h"
 #include "mapping/mapper.h"
@@ -23,6 +24,14 @@ struct AgreementCase {
   int steps;
   double tolerance;
 };
+
+/** Prints the case by value, so ctest names stay stable across builds
+ *  (the default byte dump includes the `model` pointer). */
+void
+PrintTo(const AgreementCase& c, std::ostream* os)
+{
+  *os << c.model << " steps=" << c.steps << " tolerance=" << c.tolerance;
+}
 
 class ModelAgreementTest : public ::testing::TestWithParam<AgreementCase>
 {

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -51,6 +52,21 @@ Opts(Precision precision)
   SolverOptions options;
   options.precision = precision;
   return options;
+}
+
+/**
+ * Steps `engine` `steps` times on a `shards`-band team in one
+ * dispatch, with optional phase timings and trace.
+ */
+void
+RunTeam(Engine* engine, std::uint64_t steps, int shards,
+        ShardPhaseTimings* timings = nullptr, TraceSession* trace = nullptr)
+{
+  TeamOptions options;
+  options.shards = shards;
+  options.timings = timings;
+  options.trace = trace;
+  ShardTeam(engine, options).Run(steps);
 }
 
 /** Fresh per-test scratch directory under the gtest temp root. */
@@ -319,7 +335,7 @@ TEST_P(ShardedDeterminismTest, BitIdenticalToSerialDouble)
   serial.Run(40);
 
   DeSolver sharded(spec, Opts(Precision::kDouble));
-  RunSharded(&sharded, 40, shards);
+  RunTeam(&sharded.Iface(), 40, shards);
 
   EXPECT_EQ(sharded.Steps(), 40u);
   for (int l = 0; l < spec.NumLayers(); ++l) {
@@ -351,7 +367,7 @@ TEST(ShardedDeterminismTest, BitIdenticalToSerialFixed32)
   serial.Run(40);
 
   DeSolver sharded(spec, Opts(Precision::kFixed32));
-  RunSharded(&sharded, 40, 4);
+  RunTeam(&sharded.Iface(), 40, 4);
 
   for (int l = 0; l < spec.NumLayers(); ++l) {
     const auto& a = serial.FixedEngine().State(l);
@@ -369,7 +385,7 @@ TEST(ShardedDeterminismTest, MoreShardsThanRowsStillCorrect)
   DeSolver serial(spec, Opts(Precision::kDouble));
   serial.Run(10);
   DeSolver sharded(spec, Opts(Precision::kDouble));
-  RunSharded(&sharded, 10, 16);
+  RunTeam(&sharded.Iface(), 10, 16);
   const auto a = serial.StateDoubles(0);
   const auto b = sharded.StateDoubles(0);
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -396,10 +412,7 @@ TEST(ShardPhaseTimingsTest, ObservedRunIsBitIdenticalAndAccountsPhases)
   StatRegistry reg;
   timings.BindStats(&reg, "runtime.");
   TraceSession trace(kTraceAllCategories, 1 << 12);
-  ShardRunOptions options;
-  options.timings = &timings;
-  options.trace = &trace;
-  RunSharded(observed.get(), kSteps, kShards, options);
+  RunTeam(observed.get(), kSteps, kShards, &timings, &trace);
 
   // Observation must never change results.
   for (int l = 0; l < spec.NumLayers(); ++l) {
@@ -450,9 +463,7 @@ TEST(ShardPhaseTimingsTest, SerialFallbackAccountsToShardZero)
 
   const auto observed = MakeSoaEngine(spec, Opts(Precision::kFixed32));
   ShardPhaseTimings timings(1);
-  ShardRunOptions options;
-  options.timings = &timings;
-  RunSharded(observed.get(), kSteps, /*shards=*/1, options);
+  RunTeam(observed.get(), kSteps, /*shards=*/1, &timings);
 
   for (int l = 0; l < spec.NumLayers(); ++l) {
     const auto a = plain->Snapshot(l);
@@ -548,6 +559,73 @@ TEST(SolverSessionTest, RestoreFromMissingFileIsColdStart)
   SolverSession session(spec, Opts(Precision::kDouble),
                         TinySessionConfig("m", 10));
   EXPECT_FALSE(session.TryRestoreFromFile("/nonexistent/path.ckpt"));
+  EXPECT_EQ(session.StepsDone(), 0u);
+}
+
+/** The bytes of `path`. */
+std::vector<char>
+ReadBytes(const std::string& path)
+{
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(in), {});
+}
+
+/** Replaces `path` with `bytes`. */
+void
+WriteBytes(const std::string& path, const std::vector<char>& bytes)
+{
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(SolverSessionTest, TornOrGarbledCheckpointIsAColdStart)
+{
+  // A checkpoint cut at any byte, or with any one bit flipped, must
+  // leave the session untouched at step 0 instead of ending the
+  // process.
+  const std::string dir = ScratchDir("session_torn");
+  const std::string ckpt = dir + "/torn.ckpt";
+  const NetworkSpec spec = ModelSpec("heat", 8, 8);
+  SolverSession writer(spec, Opts(Precision::kDouble),
+                       TinySessionConfig("w", 10));
+  writer.StepN(6);
+  ASSERT_TRUE(writer.SaveCheckpoint(ckpt));
+  const std::vector<char> good = ReadBytes(ckpt);
+  ASSERT_GT(good.size(), 40u);
+
+  const auto expect_cold_start = [&](const std::string& what) {
+    SolverSession session(spec, Opts(Precision::kDouble),
+                          TinySessionConfig("r", 10));
+    EXPECT_FALSE(session.TryRestoreFromFile(ckpt)) << what;
+    EXPECT_EQ(session.StepsDone(), 0u) << what;
+    EXPECT_EQ(session.State(), SessionState::kIdle) << what;
+  };
+  for (std::size_t n = 0; n < good.size(); ++n) {
+    WriteBytes(ckpt, std::vector<char>(good.begin(), good.begin() + n));
+    expect_cold_start("truncated to " + std::to_string(n) + " bytes");
+  }
+  Rng rng(0x70c4);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<char> flipped = good;
+    const std::size_t bit = rng.NextU64() % (flipped.size() * 8);
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    WriteBytes(ckpt, flipped);
+    expect_cold_start("bit " + std::to_string(bit) + " flipped");
+  }
+}
+
+TEST(SolverSessionTest, CheckpointOfAnotherGeometryIsAColdStart)
+{
+  const std::string dir = ScratchDir("session_geometry");
+  const std::string ckpt = dir + "/other.ckpt";
+  SolverSession writer(ModelSpec("heat", 10, 8), Opts(Precision::kDouble),
+                       TinySessionConfig("w", 10));
+  writer.StepN(4);
+  ASSERT_TRUE(writer.SaveCheckpoint(ckpt));
+
+  SolverSession session(ModelSpec("heat", 8, 8), Opts(Precision::kDouble),
+                        TinySessionConfig("r", 10));
+  EXPECT_FALSE(session.TryRestoreFromFile(ckpt));
   EXPECT_EQ(session.StepsDone(), 0u);
 }
 
@@ -689,9 +767,7 @@ TEST(BatchManifestTest, ParsesJobsAndDefaults)
       "\n"
       "model=reaction_diffusion\n"
       "name=rd\n"
-      "engine=double\n"
-      "kernel_path=simd\n"
-      "shards=4\n"
+      "exec=functional:double:simd:shards=4\n"
       "priority=-2\n"
       "seed=7\n");
   ASSERT_EQ(jobs.size(), 2u);
@@ -704,7 +780,6 @@ TEST(BatchManifestTest, ParsesJobsAndDefaults)
   EXPECT_EQ(jobs[0].exec.kernel_path, "auto");
   EXPECT_FALSE(jobs[0].has_seed);
   EXPECT_EQ(jobs[1].name, "rd");
-  // Legacy engine=double folds into the unified policy.
   EXPECT_EQ(jobs[1].exec.engine, "functional");
   EXPECT_EQ(jobs[1].exec.precision, "double");
   EXPECT_EQ(jobs[1].exec.kernel_path, "simd");
@@ -719,16 +794,39 @@ TEST(BatchManifestTest, MalformedManifestsDie)
   EXPECT_DEATH(ParseManifest("rows=32\n"), "no 'model='");
   EXPECT_DEATH(ParseManifest("model=heat\nbogus_key=1\n"), "unknown key");
   EXPECT_DEATH(ParseManifest("model=heat\nsteps=abc\n"), "integer");
-  EXPECT_DEATH(ParseManifest("model=heat\nengine=gpu\n"), "unknown engine");
-  EXPECT_DEATH(ParseManifest("model=heat\nkernel_path=turbo\n"),
-               "unknown kernel_path");
+  EXPECT_DEATH(ParseManifest("model=heat\nexec=engine=gpu\n"),
+               "unknown engine");
+  EXPECT_DEATH(ParseManifest("model=heat\nexec=kernel=turbo\n"),
+               "unknown kernel path");
   EXPECT_DEATH(ParseManifest("model=heat\nname=x\n\nmodel=heat\nname=x\n"),
                "duplicate job name");
   EXPECT_DEATH(ParseManifest("# only comments\n"), "no jobs");
   EXPECT_DEATH(ParseManifest("model=heat\nexec=warp9\n"), "exec");
-  // block > 1 needs the soa engine: caught at spec validation.
-  EXPECT_DEATH(ParseManifest("model=heat\nexec=functional:block=4\n"),
-               "temporal blocking");
+  // float needs the soa engine: caught at spec validation.
+  EXPECT_DEATH(ParseManifest("model=heat\nexec=functional:float\n"),
+               "only available on the soa");
+}
+
+TEST(BatchManifestTest, RemovedExecKeysAreRejected)
+{
+  // exec= is the one key for how a job runs: the old per-field keys
+  // are unknown keys now, even with values the policy would accept.
+  const char* const removed[] = {"engine=soa", "engine=double",
+                                 "precision=double", "memory=hmc-int",
+                                 "kernel_path=simd", "shards=2"};
+  for (const char* line : removed) {
+    std::vector<JobSpecError> errors;
+    const auto jobs = ParseManifestCollect(
+        std::string("model=heat\n") + line + "\n", &errors);
+    const std::string key = std::string(line).substr(
+        0, std::string(line).find('='));
+    ASSERT_EQ(errors.size(), 1u) << line;
+    EXPECT_EQ(errors[0].line, 2) << line;
+    EXPECT_EQ(errors[0].key, key) << line;
+    EXPECT_EQ(errors[0].message, "unknown key") << line;
+    ASSERT_EQ(jobs.size(), 1u) << line;
+    EXPECT_EQ(jobs[0].exec, ExecPolicy{}) << line;
+  }
 }
 
 TEST(BatchManifestTest, ExecKeyMergesOverFrontendDefaults)
@@ -908,7 +1006,7 @@ TinyManifest()
       "model=heat\nname=h\nrows=12\ncols=12\nsteps=25\n"
       "\n"
       "model=reaction_diffusion\nname=rd\nrows=12\ncols=12\nsteps=20\n"
-      "engine=double\nshards=2\n"
+      "exec=functional:double:shards=2\n"
       "\n"
       "model=heat\nname=h2\nrows=10\ncols=10\nsteps=15\npriority=3\n");
 }
@@ -989,6 +1087,33 @@ TEST(BatchRunnerTest, InterruptedBatchResumesToIdenticalState)
   EXPECT_EQ(r4[0].steps_done, 50u);
   EXPECT_EQ(r4[0].steps_executed, 0u);
   EXPECT_EQ(r4[0].checksum, ref[0].checksum);
+}
+
+TEST(BatchRunnerTest, ResumeOverATornCheckpointStartsTheJobOver)
+{
+  const auto manifest = ParseManifest(
+      "model=reaction_diffusion\nname=rd\nrows=12\ncols=12\nsteps=50\n");
+  BatchOptions ref_options;
+  ref_options.out_dir = ScratchDir("batch_torn_ref");
+  const auto ref = BatchRunner(manifest, ref_options).RunAll();
+  ASSERT_EQ(ref[0].status, JobStatus::kOk);
+
+  const std::string dir = ScratchDir("batch_torn");
+  BatchOptions options;
+  options.out_dir = dir;
+  options.max_steps_per_job = 20;
+  const auto first = BatchRunner(manifest, options).RunAll();
+  ASSERT_EQ(first[0].status, JobStatus::kInterrupted);
+  const std::vector<char> ckpt = ReadBytes(dir + "/rd.ckpt");
+  WriteBytes(dir + "/rd.ckpt",
+             std::vector<char>(ckpt.begin(), ckpt.begin() + ckpt.size() / 2));
+
+  options.resume = true;
+  options.max_steps_per_job = 0;
+  const auto resumed = BatchRunner(manifest, options).RunAll();
+  EXPECT_EQ(resumed[0].status, JobStatus::kOk);
+  EXPECT_EQ(resumed[0].steps_executed, 50u);
+  EXPECT_EQ(resumed[0].checksum, ref[0].checksum);
 }
 
 TEST(BatchRunnerTest, CrashedJobsRecoverToFaultFreeChecksum)
@@ -1112,11 +1237,10 @@ TEST(LutRefitTest, SessionWidensRangeDeterministicallyAsStateGrows)
   program.lut_config.default_spec.max_p = 1.0;
   program.lut_config.default_spec.frac_index_bits = 4;
 
-  EngineRequest request;
-  request.engine = "functional";
-  request.precision = "fixed";
-  auto engine = BuildEngine(program, request);
-  auto refitter = MakeLutRefitter(program, request);
+  ExecPolicy policy;
+  policy.precision = "fixed";
+  auto engine = BuildEngine(program, policy);
+  auto refitter = MakeLutRefitter(program, policy);
   ASSERT_NE(refitter, nullptr);
 
   HealthGuardConfig hc;
@@ -1149,14 +1273,17 @@ TEST(LutRefitTest, ArchRequestGetsNoRefitter)
 {
   SolverProgram program;
   program.spec = ModelSpec("heat", 8, 8);
-  EngineRequest request;
-  request.engine = "arch";
-  EXPECT_EQ(MakeLutRefitter(program, request), nullptr);
-  request.engine = "soa";
-  request.precision = "double";
-  EXPECT_EQ(MakeLutRefitter(program, request), nullptr);
-  request.precision = "fixed";
-  EXPECT_NE(MakeLutRefitter(program, request), nullptr);
+  ExecPolicy policy;
+  policy.engine = "arch";
+  EXPECT_EQ(MakeLutRefitter(program, policy), nullptr);
+  policy.engine = "soa";
+  policy.precision = "double";
+  EXPECT_EQ(MakeLutRefitter(program, policy), nullptr);
+  policy.precision = "fixed";
+  EXPECT_NE(MakeLutRefitter(program, policy), nullptr);
+  // An empty precision is the engine default: fixed.
+  policy.precision.clear();
+  EXPECT_NE(MakeLutRefitter(program, policy), nullptr);
 }
 
 TEST(BatchRunnerTest, DerivedSeedsAreStablePerIndex)

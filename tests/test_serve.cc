@@ -349,6 +349,28 @@ TEST(ServeFuzz, SubmitValidationReportsPreciseKeys)
   EXPECT_EQ(service.Jobs().TotalCreated(), 0u);
 }
 
+TEST(ServeFuzz, RemovedExecKeysAreRejected)
+{
+  // "exec" is the one spec key for how a job runs; the old per-field
+  // keys are rejected even with values the policy would accept.
+  SolverService service(BaseOptions(TestDir("removed_keys")));
+  const std::pair<const char*, const char*> removed[] = {
+      {"engine", "soa"},       {"engine", "double"},
+      {"precision", "double"}, {"memory", "hmc-int"},
+      {"kernel_path", "simd"}, {"shards", "2"}};
+  for (const auto& [key, value] : removed) {
+    const JsonValue r = Call(
+        service, SubmitLine("t", SpecJson({{"model", "heat"}, {key, value}})));
+    EXPECT_FALSE(r.GetBool("ok", true)) << key;
+    EXPECT_EQ(r.GetString("error"), "invalid") << key;
+    EXPECT_NE(r.GetString("message").find(std::string("key '") + key +
+                                          "': unknown key"),
+              std::string::npos)
+        << r.GetString("message");
+  }
+  EXPECT_EQ(service.Jobs().TotalCreated(), 0u);
+}
+
 TEST(ServeFuzz, HostileNumbersAreRejectedNotUndefined)
 {
   SolverService service(BaseOptions(TestDir("hostile")));
@@ -856,8 +878,7 @@ TEST(ServeService, DrainFlushesQueueAndLeavesRestorableCheckpoints)
   const auto model = MakeModel("heat", mc);
   SessionConfig sc;
   sc.name = "restore_check";
-  SolverSession session(BuildEngine(MakeProgram(*model), EngineRequest{}),
-                        sc);
+  SolverSession session(BuildEngine(MakeProgram(*model), ExecPolicy{}), sc);
   ASSERT_TRUE(session.TryRestoreFromFile(ckpt));
   EXPECT_GT(session.StepsDone(), 0u);
 }

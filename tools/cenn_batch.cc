@@ -23,11 +23,9 @@
  *
  * Execution policy: per-job `exec=` manifest keys refine the
  * frontend-level default given by --exec (e.g. --exec=soa:simd runs
- * every job on SIMD SoA kernels unless a job overrides a field). The
- * legacy manifest keys engine=/precision=/memory=/kernel_path=/shards=
- * still parse as deprecated aliases. --threads stays the *pool* width
- * here (jobs run concurrently); per-job band shards come from the
- * policy's shards= field.
+ * every job on SIMD SoA kernels unless a job overrides a field).
+ * --threads is the *pool* width (jobs run concurrently); per-job band
+ * shards come from the policy's shards= field.
  *
  * Examples:
  *   cenn_batch --manifest=jobs.txt --out=batch_out --threads=4

@@ -31,7 +31,7 @@ name=ft_rd
 rows=12
 cols=12
 steps=60
-engine=double
+exec=functional:double
 ")
 
 execute_process(

@@ -21,8 +21,7 @@ name=smoke_rd
 rows=12
 cols=12
 steps=20
-engine=double
-shards=2
+exec=functional:double:shards=2
 ")
 
 execute_process(

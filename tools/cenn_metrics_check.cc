@@ -37,211 +37,57 @@
 #include <string>
 #include <vector>
 
+#include "serve/json.h"
+
 namespace {
 
+using cenn::JsonValue;
+
 /**
- * Parser for exactly the metrics-line shape: a flat object of string
- * or number scalars plus flat string->number sub-objects. Strict
- * enough that malformed JSON of any kind fails.
+ * True for exactly the metrics-line shape: an object of string or
+ * number scalars plus flat name->number sub-objects (null marks a
+ * non-finite derived stat).
  */
-class MetricsLine
+bool
+IsMetricsLine(const JsonValue& line)
 {
-  public:
-    bool Parse(const std::string& text)
-    {
-        text_ = &text;
-        pos_ = 0;
-        strings_.clear();
-        numbers_.clear();
-        objects_.clear();
-        if (!ParseObjectInto(nullptr)) {
+  if (!line.IsObject()) {
+    return false;
+  }
+  for (const auto& [key, value] : line.object) {
+    if (value.IsObject()) {
+      for (const auto& [name, v] : value.object) {
+        if (!v.IsNumber() && !v.IsNull()) {
           return false;
         }
-        SkipWs();
-        return pos_ == text.size();
+      }
+    } else if (!value.IsString() && !value.IsNumber()) {
+      return false;
     }
+  }
+  return true;
+}
 
-    /** Top-level string field, or "" when absent. */
-    std::string GetString(const std::string& key) const
-    {
-        const auto it = strings_.find(key);
-        return it == strings_.end() ? "" : it->second;
+/** Top-level number field; NaN when absent or not a number. */
+double
+NumberField(const JsonValue& line, const std::string& key)
+{
+  const JsonValue* v = line.Find(key);
+  return v != nullptr && v->IsNumber() ? v->number : std::nan("");
+}
+
+/** Flat name->value sub-object (empty when absent; null = NaN). */
+std::map<std::string, double>
+NumberMap(const JsonValue& line, const std::string& key)
+{
+  std::map<std::string, double> out;
+  if (const JsonValue* obj = line.Find(key)) {
+    for (const auto& [name, v] : obj->object) {
+      out[name] = v.IsNumber() ? v.number : std::nan("");
     }
-
-    /** Top-level number field; NaN when absent. */
-    double GetNumber(const std::string& key) const
-    {
-        const auto it = numbers_.find(key);
-        return it == numbers_.end() ? std::nan("") : it->second;
-    }
-
-    bool HasObject(const std::string& key) const
-    {
-        return objects_.count(key) != 0;
-    }
-
-    /** Flat name->value sub-object (empty when absent). */
-    const std::map<std::string, double>& Object(const std::string& key) const
-    {
-        static const std::map<std::string, double> kEmpty;
-        const auto it = objects_.find(key);
-        return it == objects_.end() ? kEmpty : it->second;
-    }
-
-  private:
-    void SkipWs()
-    {
-        while (pos_ < text_->size() &&
-               ((*text_)[pos_] == ' ' || (*text_)[pos_] == '\t')) {
-          ++pos_;
-        }
-    }
-
-    char Peek() const { return pos_ < text_->size() ? (*text_)[pos_] : '\0'; }
-
-    bool ParseString(std::string* out)
-    {
-        if (Peek() != '"') {
-          return false;
-        }
-        ++pos_;
-        out->clear();
-        while (pos_ < text_->size()) {
-          const char ch = (*text_)[pos_];
-          if (ch == '"') {
-            ++pos_;
-            return true;
-          }
-          if (ch == '\\') {
-            if (pos_ + 1 >= text_->size()) {
-              return false;
-            }
-            const char esc = (*text_)[pos_ + 1];
-            switch (esc) {
-              case '"':
-              case '\\':
-              case '/':
-                out->push_back(esc);
-                pos_ += 2;
-                break;
-              case 'b':
-              case 'f':
-              case 'n':
-              case 'r':
-              case 't':
-                out->push_back(' ');
-                pos_ += 2;
-                break;
-              case 'u':
-                if (pos_ + 5 >= text_->size()) {
-                  return false;
-                }
-                out->push_back('?');
-                pos_ += 6;
-                break;
-              default:
-                return false;
-            }
-            continue;
-          }
-          out->push_back(ch);
-          ++pos_;
-        }
-        return false;  // unterminated
-    }
-
-    bool ParseNumber(double* out)
-    {
-        const char* start = text_->c_str() + pos_;
-        char* end = nullptr;
-        *out = std::strtod(start, &end);
-        if (end == start) {
-          return false;
-        }
-        pos_ += static_cast<std::size_t>(end - start);
-        return true;
-    }
-
-    /**
-     * Parses an object. With `into` null this is the top level (the
-     * three sub-objects and scalars are captured into the member
-     * maps); non-null parses a flat string->number object.
-     */
-    bool ParseObjectInto(std::map<std::string, double>* into)
-    {
-        SkipWs();
-        if (Peek() != '{') {
-          return false;
-        }
-        ++pos_;
-        SkipWs();
-        if (Peek() == '}') {
-          ++pos_;
-          return true;
-        }
-        while (true) {
-          SkipWs();
-          std::string key;
-          if (!ParseString(&key)) {
-            return false;
-          }
-          SkipWs();
-          if (Peek() != ':') {
-            return false;
-          }
-          ++pos_;
-          SkipWs();
-          const char ch = Peek();
-          if (into != nullptr) {
-            // Sub-objects are strictly flat name->number (null = a
-            // non-finite derived stat; recorded as NaN).
-            if (ch == 'n' &&
-                text_->compare(pos_, 4, "null") == 0) {
-              pos_ += 4;
-              (*into)[key] = std::nan("");
-            } else {
-              double v = 0.0;
-              if (!ParseNumber(&v)) {
-                return false;
-              }
-              (*into)[key] = v;
-            }
-          } else if (ch == '{') {
-            if (!ParseObjectInto(&objects_[key])) {
-              return false;
-            }
-          } else if (ch == '"') {
-            std::string v;
-            if (!ParseString(&v)) {
-              return false;
-            }
-            strings_[key] = v;
-          } else {
-            double v = 0.0;
-            if (!ParseNumber(&v)) {
-              return false;
-            }
-            numbers_[key] = v;
-          }
-          SkipWs();
-          if (Peek() == ',') {
-            ++pos_;
-            continue;
-          }
-          if (Peek() == '}') {
-            ++pos_;
-            return true;
-          }
-          return false;
-        }
-    }
-
-    const std::string* text_ = nullptr;
-    std::size_t pos_ = 0;
-    std::map<std::string, std::string> strings_;
-    std::map<std::string, double> numbers_;
-    std::map<std::string, std::map<std::string, double>> objects_;
-};
+  }
+  return out;
+}
 
 /** One --expect=name>=VALUE assertion on the exit snapshot. */
 struct Expectation {
@@ -351,7 +197,7 @@ main(int argc, char** argv)
   }
 
   std::map<std::string, double> prev_counters;
-  MetricsLine parsed;
+  std::map<std::string, double> gauges;
   std::string line;
   std::string last_reason;
   std::size_t line_no = 0;
@@ -360,19 +206,21 @@ main(int argc, char** argv)
     if (line.empty()) {
       return Fail(path, line_no, "empty line");
     }
-    if (!parsed.Parse(line)) {
+    JsonValue parsed;
+    std::string error;
+    if (!cenn::ParseJson(line, &parsed, &error) || !IsMetricsLine(parsed)) {
       return Fail(path, line_no, "line is not a valid metrics object");
     }
     if (parsed.GetString("schema") != "cenn.metrics.v1") {
       return Fail(path, line_no, "bad or missing schema tag");
     }
-    const double seq = parsed.GetNumber("seq");
+    const double seq = NumberField(parsed, "seq");
     if (std::isnan(seq) ||
         seq != static_cast<double>(line_no - 1)) {
       return Fail(path, line_no, "seq is not the line index");
     }
-    if (std::isnan(parsed.GetNumber("ts_ms")) ||
-        std::isnan(parsed.GetNumber("uptime_ms"))) {
+    if (std::isnan(NumberField(parsed, "ts_ms")) ||
+        std::isnan(NumberField(parsed, "uptime_ms"))) {
       return Fail(path, line_no, "missing ts_ms / uptime_ms");
     }
     const std::string reason = parsed.GetString("reason");
@@ -382,12 +230,15 @@ main(int argc, char** argv)
     if (line_no == 1 && reason != "start") {
       return Fail(path, line_no, "first sample reason is not \"start\"");
     }
-    if (!parsed.HasObject("counters") || !parsed.HasObject("gauges") ||
-        !parsed.HasObject("deltas")) {
-      return Fail(path, line_no, "missing counters/gauges/deltas");
+    for (const char* key : {"counters", "gauges", "deltas"}) {
+      const JsonValue* object = parsed.Find(key);
+      if (object == nullptr || !object->IsObject()) {
+        return Fail(path, line_no, "missing counters/gauges/deltas");
+      }
     }
-    const auto& counters = parsed.Object("counters");
-    const auto& deltas = parsed.Object("deltas");
+    const std::map<std::string, double> counters =
+        NumberMap(parsed, "counters");
+    const std::map<std::string, double> deltas = NumberMap(parsed, "deltas");
     for (const auto& [name, value] : counters) {
       const auto it = prev_counters.find(name);
       const double prev = it == prev_counters.end() ? 0.0 : it->second;
@@ -406,6 +257,7 @@ main(int argc, char** argv)
       }
     }
     prev_counters = counters;
+    gauges = NumberMap(parsed, "gauges");
     last_reason = reason;
   }
 
@@ -431,7 +283,7 @@ main(int argc, char** argv)
       }
     }
     if (!found) {
-      for (const auto& [name, value] : parsed.Object("gauges")) {
+      for (const auto& [name, value] : gauges) {
         if (name.find(fragment) != std::string::npos) {
           found = true;
           break;
@@ -451,8 +303,8 @@ main(int argc, char** argv)
     bool matched = false;
     bool satisfied = false;
     std::string actuals;
-    const std::map<std::string, double>* snapshots[] = {
-        &prev_counters, &parsed.Object("gauges")};
+    const std::map<std::string, double>* snapshots[] = {&prev_counters,
+                                                         &gauges};
     for (const auto* snapshot : snapshots) {
       for (const auto& [name, value] : *snapshot) {
         if (name.find(e.name) == std::string::npos) {

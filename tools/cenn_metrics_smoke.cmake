@@ -15,7 +15,7 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 
 execute_process(
     COMMAND "${CENN_RUN}" --model=reaction_diffusion --rows=128 --cols=128
-            --steps=400 --engine=soa
+            --steps=400 --exec=soa
             --metrics-out=${WORK_DIR}/run.metrics.jsonl
             --metrics-interval-ms=10
             --stats-out=${WORK_DIR}/run.stats.txt

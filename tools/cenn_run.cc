@@ -12,9 +12,7 @@
  *   functional  cell-by-cell reference engine (double/fixed precision)
  *   soa         vectorized SoA kernels (double/fixed/float precision)
  *   arch        cycle-level accelerator simulation (fixed + timing)
- * The legacy flags --engine/--precision/--memory/--kernel-path (and
- * --engine=double|fixed) still parse as deprecated aliases, as does
- * --threads for the band-shard count.
+ * The band-shard count is the policy's shards= field.
  *
  * The driver itself is engine-agnostic: it steps a cenn::Engine
  * through a persistent worker team and only probes for the arch
@@ -63,6 +61,10 @@
 namespace cenn {
 namespace {
 
+/** Every shared flag group except --threads: band shards are the
+ *  exec policy's shards= field. */
+constexpr unsigned kRunFlagGroups = kAllCommonFlags & ~kThreadsFlag;
+
 void
 PrintUsage()
 {
@@ -91,7 +93,7 @@ PrintUsage()
       "  --pgm=FILE                   write layer-0 snapshot as PGM\n"
       "  --checkpoint=FILE            write a checkpoint at the end\n"
       "  --ascii                      print an ASCII heatmap of layer 0\n",
-      CommonOptionsHelp().c_str());
+      CommonOptionsHelp(kRunFlagGroups).c_str());
 }
 
 /**
@@ -207,8 +209,8 @@ RunMain(int argc, char** argv)
 
   CommonOptions defaults;
   defaults.exec.precision = "fixed";
-  const CommonOptions copts = ParseCommonOptions(flags, kAllCommonFlags,
-                                                 defaults);
+  const CommonOptions copts =
+      ParseCommonOptions(flags, kRunFlagGroups, defaults);
   const bool heun = flags.GetBool("heun", false);
   const bool steady = flags.GetBool("steady", false);
   const double tolerance = flags.GetDouble("tolerance", 1e-6);
@@ -238,14 +240,7 @@ RunMain(int argc, char** argv)
         ParseTraceCategories(copts.trace_categories), copts.trace_capacity);
   }
 
-  ExecPolicy exec = copts.exec;
-  if (copts.threads_given) {
-    WarnDeprecatedOnce("--threads (cenn_run)", "--exec=...:shards=N");
-    if (exec.shards == 1) {
-      exec.shards = copts.threads;
-    }
-  }
-  const EngineRequest normalized = ToEngineRequest(exec);
+  const ExecPolicy& exec = copts.exec;
 
   MapperReport map_report;
   SolverProgram program;
@@ -257,7 +252,7 @@ RunMain(int argc, char** argv)
       model != nullptr ? "benchmark model '" + model->Name() + "'"
                        : "scenario '" + display_name + "'";
   if (heun) {
-    if (normalized.engine != "functional") {
+    if (exec.engine != "functional") {
       CENN_FATAL("--heun applies to the functional engine only (the "
                  "hardware and the SoA kernels integrate with explicit "
                  "Euler)");
@@ -281,7 +276,7 @@ RunMain(int argc, char** argv)
               map_report.templates_needing_update);
   std::printf("exec policy: %s\n", FormatExecPolicy(exec).c_str());
 
-  const std::unique_ptr<Engine> engine = BuildEngine(program, normalized);
+  const std::unique_ptr<Engine> engine = BuildEngine(program, exec);
   auto* sim = dynamic_cast<ArchSimulator*>(engine.get());
   if (sim != nullptr && trace != nullptr) {
     sim->AttachTrace(trace.get());
@@ -356,7 +351,6 @@ RunMain(int argc, char** argv)
     TeamOptions team_options;
     team_options.shards = exec.shards;
     ParseTeamPin(exec.pin, &team_options.pin);
-    team_options.block_steps = exec.block_steps;
     team_options.timings = &timings;
     // The arch simulator traces its own cycle-level spans; host-side
     // phase spans would mix clock domains on the same lanes.
@@ -397,10 +391,11 @@ RunMain(int argc, char** argv)
                 energy.memory_power_w, energy.energy_j * 1e3,
                 energy.gops_per_watt);
   } else {
-    std::printf("\nengine %s (%s", engine->Kind(),
-                normalized.precision.c_str());
-    if (normalized.engine == "soa") {
-      const KernelPath resolved = ResolveKernelPath(normalized.kernel_path);
+    std::printf("\nengine %s (%s", engine->Kind(), exec.precision.c_str());
+    if (exec.engine == "soa") {
+      KernelPath requested = KernelPath::kAuto;
+      ParseKernelPath(exec.kernel_path.c_str(), &requested);
+      const KernelPath resolved = ResolveKernelPath(requested);
       std::printf(", %s kernels", KernelPathName(resolved));
       if (resolved == KernelPath::kSimd) {
         std::printf(" [%s]", SimdIsaName());
