@@ -6,15 +6,19 @@
  * Times the same solve on five backends: the functional engine
  * (MultilayerCenn walking the IR per cell), the SoA engine on its
  * scalar path (compiled plans, cell-by-cell), the SoA engine on its
- * blocked path (fused row kernels — the default), the SoA engine on
- * its simd path (explicitly vectorized kernels, runtime-dispatched
- * ISA), the blocked path band-sharded across worker threads, and the
- * fused path: a persistent ShardTeam stepping the simd kernels (the
+ * blocked path (fused row kernels), the SoA engine on its simd path
+ * (explicitly vectorized kernels, runtime-dispatched ISA — the
+ * default, Q16.16 int32 lanes at fixed precision), the blocked path
+ * band-sharded across worker threads, and the fused path: a
+ * persistent ShardTeam stepping the simd kernels (the
  * --exec=soa:simd:shards=K configuration, workers resident across the
- * warm-up and timed regions). Reports steps/s, cell-updates/s and
- * speedup over the functional baseline, and verifies that every
- * fixed/double variant ends in a bit-identical final state (float
- * runs are reported but not compared — there is no float reference).
+ * warm-up and timed regions). Rows are named by their --exec spelling
+ * (soa:fixed:simd, ...). Reports steps/s, layer-cell updates/s
+ * (Mlayer-cell/s: rows x cols x layers, unlike the grid-cell Mcell/s
+ * of perfbench and cenn_run) and speedup over the functional
+ * baseline, and verifies that every fixed/double variant ends in a
+ * bit-identical final state (float runs are reported but not
+ * compared — there is no float reference).
  *
  * --check turns the run into a regression gate: exit 1 if the blocked
  * kernels are slower than the scalar plan walk, if the simd kernels
@@ -28,7 +32,7 @@
  * LUT-bound sweep, if any comparable variant diverges from the
  * functional state, or if the health-guard instrumentation (the
  * Fixed32 saturation-counter hook) costs more than 2% on the fixed
- * blocked path. --quick shrinks the workload for CI smoke use.
+ * simd path. --quick shrinks the workload for CI smoke use.
  *
  * Examples:
  *   bench_kernels
@@ -38,6 +42,7 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -66,6 +71,7 @@
 #include "runtime/engine_factory.h"
 #include "runtime/worker_team.h"
 #include "util/cli.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/table.h"
 
@@ -110,13 +116,7 @@ StateChecksum(const Engine& engine)
   std::uint64_t hash = 1469598103934665603ull;
   for (int layer = 0; layer < engine.Spec().NumLayers(); ++layer) {
     for (const double v : engine.Snapshot(layer)) {
-      std::uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(v));
-      std::memcpy(&bits, &v, sizeof(bits));
-      for (int b = 0; b < 64; b += 8) {
-        hash ^= (bits >> b) & 0xffu;
-        hash *= 1099511628211ull;
-      }
+      hash = FnvMix(hash, std::bit_cast<std::uint64_t>(v));
     }
   }
   return hash;
@@ -255,19 +255,20 @@ BenchMain(int argc, char** argv)
   // The float SoA engine has no functional twin; everything else is
   // held to bit-identity with the reference.
   const bool comparable = precision != "float";
+  // Rows are named by their --exec spelling.
+  const std::string soa = "soa:" + precision + ":";
   if (comparable) {
-    variants.push_back(
-        {"functional", Build(program, "functional", precision), serial});
+    variants.push_back({"functional:" + precision,
+                        Build(program, "functional", precision), serial});
   }
   for (const char* path : {"scalar", "blocked", "simd"}) {
-    variants.push_back({std::string("soa/") + path,
-                        Build(program, "soa", precision, path), serial,
-                        comparable});
+    variants.push_back({soa + path, Build(program, "soa", precision, path),
+                        serial, comparable});
   }
   for (const int k : shard_counts) {
     // A one-shot team per call: workers spawn and join every Run.
     variants.push_back(
-        {"soa/blocked x" + std::to_string(k),
+        {soa + "blocked:shards=" + std::to_string(k),
          Build(program, "soa", precision, "blocked"),
          [k](Engine* engine, std::uint64_t n) {
            TeamOptions options;
@@ -282,7 +283,7 @@ BenchMain(int argc, char** argv)
     // exactly what --exec=soa:simd:shards=K runs in a session.
     auto team = std::make_shared<std::unique_ptr<ShardTeam>>();
     variants.push_back(
-        {"soa/simd team x" + std::to_string(k),
+        {soa + "simd:shards=" + std::to_string(k) + " (team)",
          Build(program, "soa", precision, "simd"),
          [k, team](Engine* engine, std::uint64_t n) {
            if (*team == nullptr) {
@@ -300,7 +301,9 @@ BenchMain(int argc, char** argv)
                        static_cast<double>(program.spec.NumLayers());
   const std::uint64_t warmup = steps / 10 + 1;
 
-  TextTable table({"backend", "seconds", "steps/s", "Mcell-upd/s",
+  // Mlayer-cell/s counts rows x cols x layers per second; perfbench
+  // and cenn_run's Mcell/s count grid cells (rows x cols).
+  TextTable table({"backend", "seconds", "steps/s", "Mlayer-cell/s",
                    "speedup", "GB/s", "FLOP/B", "state"});
   double baseline_seconds = 0.0;
   double scalar_seconds = 0.0;
@@ -340,11 +343,11 @@ BenchMain(int argc, char** argv)
       baseline_seconds = seconds;
       reference_checksum = v.comparable ? StateChecksum(*v.engine) : 0;
     }
-    if (v.name == "soa/scalar") {
+    if (v.name == soa + "scalar") {
       scalar_seconds = seconds;
-    } else if (v.name == "soa/blocked") {
+    } else if (v.name == soa + "blocked") {
       blocked_seconds = seconds;
-    } else if (v.name == "soa/simd") {
+    } else if (v.name == soa + "simd") {
       v.name += std::string(" [") + SimdIsaName() + "]";
     }
 
@@ -686,10 +689,11 @@ BenchMain(int argc, char** argv)
     }
   }
 
-  // Guard-overhead gate: time the fixed blocked path with and without
-  // an installed Fixed32 saturation counter. The hook only runs on
-  // the rare clamping branch, so even counter-ON must stay within 2%
-  // of counter-OFF — which bounds the guards-off cost of the
+  // Guard-overhead gate: time the fixed simd path — the default, where
+  // every vector op checks its lanes for clamps — with and without an
+  // installed Fixed32 saturation counter. The counter is only touched
+  // on the rare clamping branch, so even counter-ON must stay within
+  // 2% of counter-OFF — which bounds the guards-off cost of the
   // instrumentation from above. The two flavors are interleaved as
   // many small ABBA-ordered chunks and compared by total time, so
   // clock drift and noisy neighbors hit both flavors equally. Only
@@ -697,7 +701,7 @@ BenchMain(int argc, char** argv)
   // plain smoke run.
   if (check) {
     HealthGuard guard;
-    const auto engine = Build(program, "soa", "fixed", "blocked");
+    const auto engine = Build(program, "soa", "fixed", "simd");
     const auto timed = [&](HealthGuard* sink, std::uint64_t n) {
       ScopedSatCounter sat(sink);
       const auto start = std::chrono::steady_clock::now();
@@ -737,7 +741,7 @@ BenchMain(int argc, char** argv)
     }
     const double overhead =
         std::sqrt(median(&on_second) * median(&on_first)) - 1.0;
-    std::printf("guard instrumentation overhead (fixed blocked, counter "
+    std::printf("guard instrumentation overhead (fixed simd, counter "
                 "installed): %+.2f%%, %llu sat events\n", overhead * 100.0,
                 static_cast<unsigned long long>(guard.SatEvents()));
     if (overhead > 0.02) {

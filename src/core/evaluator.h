@@ -12,6 +12,7 @@
  *    reproducing the accelerator's approximation error.
  */
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -44,6 +45,31 @@ struct PackedTaylorView {
 };
 
 /**
+ * The Q16.16 twin of PackedTaylorView: the table's quantized l(p),
+ * a1, a2, a3 as raw int32 lanes, plus the raw-bit geometry that
+ * reproduces OffChipLut::IndexOf(Fixed32) and IsExactSample without
+ * leaving integer arithmetic. Index i covers the raw states whose
+ * arithmetic shift `x >> shift` equals `min_units + i`; its expansion
+ * point is exactly `(min_units + i) << shift`, so p is rebuilt, not
+ * gathered. Only set (l_p non-null) when every sample point is a
+ * Q16.16 word, i.e. min_p lies on the sample grid and the range fits
+ * the format; other tables keep the exact per-lane closure.
+ */
+struct PackedFixedView {
+  const std::int32_t* l_p = nullptr;  ///< quantized l(p) per entry
+  const std::int32_t* a1 = nullptr;   ///< quantized delta-form lanes
+  const std::int32_t* a2 = nullptr;
+  const std::int32_t* a3 = nullptr;
+  int shift = 16;              ///< 16 - frac_index_bits
+  std::int32_t min_units = 0;  ///< min_p / spacing
+  std::int32_t max_units = 0;  ///< min_units + num_entries - 1
+  std::int32_t min_raw = 0;    ///< exact samples need raw >= min_raw ...
+  std::int32_t max_raw = 0;    ///< ... and raw <= max_raw
+
+  bool Valid() const { return l_p != nullptr; }
+};
+
+/**
  * Everything the vectorized kernels need to evaluate a LUT-backed
  * factor, decoupled from the table's concrete class: the AoS entry
  * array (exact scalar replicas, diagnostics), the packed SoA lanes
@@ -55,6 +81,9 @@ struct LutView {
 
   /** Packed coefficient lanes over the same index space. */
   PackedTaylorView packed;
+
+  /** Packed Q16.16 lanes (Fixed32 engines); unset for off-grid tables. */
+  PackedFixedView packed_fixed;
 
   /** Sampling geometry (mirrors the table's LutSpec). */
   double min_p = 0.0;
@@ -77,8 +106,9 @@ struct FactorVecInfo {
       evaluated in double then converted with NumTraits. */
   const std::vector<double>* poly = nullptr;
 
-  /** The bound fn is the LUT delta-form cubic over this table
-      (double engines only); see LutView. */
+  /** The bound fn is the LUT delta-form cubic over this table: in
+      double over `packed` (double engines) or in Q16.16 over
+      `packed_fixed` (Fixed32 engines); see LutView. */
   LutView lut_view;
 };
 

@@ -65,6 +65,20 @@ class Fixed32
       return previous;
     }
 
+    /**
+     * Reports `n` clamps to the calling thread's sink, if any — the
+     * entry the vector Q16.16 kernels (kernels/soa_simd_impl.h) use to
+     * add the clamped lanes of one vector op, so the sink sees exactly
+     * the count the equivalent scalar ops would have reported.
+     */
+    static void
+    CountSaturations(std::uint64_t n)
+    {
+      if (t_sat_events != nullptr) {
+        *t_sat_events += n;
+      }
+    }
+
     /** Clamps a 64-bit intermediate into the 32-bit raw range. */
     static constexpr std::int32_t
     SaturateRaw(std::int64_t v)

@@ -64,7 +64,7 @@ ResolveKernelPath(KernelPath requested)
       return forced;
     }
   }
-  return requested == KernelPath::kAuto ? KernelPath::kBlocked : requested;
+  return requested == KernelPath::kAuto ? KernelPath::kSimd : requested;
 }
 
 }  // namespace cenn

@@ -13,14 +13,17 @@
  *
  * Exactness: kScalar and kBlocked execute the identical per-cell
  * operation sequence, so their results are bit-identical. kSimd is
- * bit-identical for Fixed32 (it executes the blocked kernels — the
- * integer datapath gains nothing from lane parallelism yet) and
+ * bit-identical for Fixed32 (saturating Q16.16 int32 lanes: integer
+ * ops do not round, and saturation and LUT counts match too) and
  * ULP-bounded for float/double: the same per-cell operation sequence
  * with at most per-tap FMA contraction allowed, never reassociation,
  * giving a <= 4 ULP contract enforced by the differential fuzz sweep
  * in tests/test_kernels.cc. The current kernels use separate
  * multiply/add throughout, so in practice all three paths match
  * bit-for-bit today; the contract leaves room for FMA.
+ *
+ * kAuto resolves to kSimd at every precision, so the default path is
+ * the fast one; kBlocked stays selectable as the benchmark baseline.
  */
 
 #include <cstdint>
@@ -29,7 +32,7 @@ namespace cenn {
 
 /** Stepping implementation selector for SoaEngine. */
 enum class KernelPath : std::uint8_t {
-  kAuto = 0,     ///< pick the fast bit-exact path unless overridden by env
+  kAuto = 0,     ///< simd, unless CENN_KERNEL_PATH overrides it
   kScalar = 1,   ///< cell-by-cell reference walk
   kBlocked = 2,  ///< fused, vectorization-friendly row kernels
   kSimd = 3,     ///< explicit vector kernels (vec.h, CPU dispatch)
@@ -39,9 +42,10 @@ enum class KernelPath : std::uint8_t {
 const char* KernelPathName(KernelPath path);
 
 /**
- * Resolves `requested` to a concrete path: kAuto becomes kBlocked
- * (the fastest path that stays bit-identical to the functional
- * reference), and the CENN_KERNEL_PATH environment variable
+ * Resolves `requested` to a concrete path: kAuto becomes kSimd (the
+ * fastest path, bit-identical to the functional reference for Fixed32
+ * and, with today's kernels, for float and double too), and the
+ * CENN_KERNEL_PATH environment variable
  * ("scalar", "blocked" or "simd"), when set, overrides any request —
  * the escape hatch for A/B-ing a suspected kernel bug without
  * rebuilding. A CENN_KERNEL_PATH value that is not a known path is

@@ -4,6 +4,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "obs/profile.h"
 #include "obs/stat_registry.h"
 #include "util/logging.h"
 
@@ -50,9 +51,7 @@ SoaEngine<T>::SoaEngine(const NetworkSpec& spec,
 {
   spec_.Validate();
   if (path_ == KernelPath::kSimd) {
-    // Resolve the CPU backend once; Fixed32 keeps a null pointer and
-    // steps on the bit-identical blocked kernels.
-    simd_step_ = SimdStepFor<T>();
+    simd_step_ = SimdStepFor<T>();  // resolves the CPU backend once
   }
   if (spec_.integrator != Integrator::kEuler) {
     CENN_FATAL("SoaEngine supports the explicit-Euler integrator only (spec "
@@ -126,8 +125,15 @@ SoaEngine<T>::ComputeTrafficModel()
   const std::uint64_t row_bytes =
       static_cast<std::uint64_t>(spec_.cols) * sizeof(T);
   const std::uint64_t cols = spec_.cols;
-  const bool simd_luts = path_ == KernelPath::kSimd && simd_step_ != nullptr;
-  const int lanes = std::max(1, SimdLanesDouble());
+  constexpr bool kFixed = std::is_same_v<T, Fixed32>;
+  const bool simd_luts = path_ == KernelPath::kSimd;
+  // LUT strips run at the double width, or the int32 width for the
+  // Q16.16 gathers of Fixed32.
+  const int lanes = std::max(1, kFixed ? SimdLanesInt32() : SimdLanesDouble());
+  const auto gathers_lut = [](const CompiledFactor<T>& f) {
+    return kFixed ? f.vec.lut_view.packed_fixed.Valid()
+                  : f.vec.lut_view.Valid();
+  };
   // 4-lane packed gather (l_p, a1, a2, a3) per vector strip; the
   // expansion point p is recomputed, not gathered (core/evaluator.h).
   const std::uint64_t gathers_per_strip = 4;
@@ -162,7 +168,7 @@ SoaEngine<T>::ComputeTrafficModel()
       for (const CompiledFactor<T>& f : tap.factors) {
         step_read_bytes_per_row_ += row_bytes;  // control row stream
         step_flops_per_row_ += (factor_ops(f) + 1) * cols;
-        if (simd_luts && f.vec.lut_view.Valid()) {
+        if (simd_luts && gathers_lut(f)) {
           step_gathers_per_row_ += gathers_per_strip * strips_per_row;
         }
       }
@@ -172,7 +178,7 @@ SoaEngine<T>::ComputeTrafficModel()
       for (const CompiledFactor<T>& f : off.factors) {
         step_read_bytes_per_row_ += row_bytes;
         step_flops_per_row_ += (factor_ops(f) + 1) * cols;
-        if (simd_luts && f.vec.lut_view.Valid()) {
+        if (simd_luts && gathers_lut(f)) {
           step_gathers_per_row_ += gathers_per_strip * strips_per_row;
         }
       }
@@ -257,6 +263,7 @@ template <typename T>
 void
 SoaEngine<T>::RefreshOutputs(std::size_t row_begin, std::size_t row_end)
 {
+  CENN_PROF("soa.refresh");
   CheckBand(row_begin, row_end);
   const std::size_t cols = spec_.cols;
   for (int l = 0; l < spec_.NumLayers(); ++l) {
@@ -506,10 +513,11 @@ template <typename T>
 void
 SoaEngine<T>::StepBands(std::size_t row_begin, std::size_t row_end)
 {
+  CENN_PROF("soa.step");
   CheckBand(row_begin, row_end);
   if (path_ == KernelPath::kScalar) {
     ComputeRowsScalar(row_begin, row_end);
-  } else if (path_ == KernelPath::kSimd && simd_step_ != nullptr) {
+  } else if (path_ == KernelPath::kSimd) {
     ComputeRowsSimd(row_begin, row_end);
   } else {
     ComputeRowsBlocked(row_begin, row_end);
@@ -554,6 +562,7 @@ template <typename T>
 void
 SoaEngine<T>::Publish()
 {
+  CENN_PROF("soa.publish");
   state_.Swap(next_state_);
   ApplyResets();
   ++steps_;

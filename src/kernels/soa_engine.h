@@ -26,10 +26,11 @@
  *
  * The simd KernelPath (kernels/soa_simd.h) runs the same plans
  * through explicitly vectorized kernels with runtime CPU dispatch:
- * bit-identical for Fixed32 (it executes the blocked kernels) and
- * ULP-bounded (<= 4, per-tap FMA allowed; currently bit-exact) for
- * float/double — see docs/kernels.md and the differential fuzz sweep
- * in tests/test_kernels.cc.
+ * bit-identical for Fixed32 (saturating Q16.16 int32 lanes, exact
+ * saturation and LUT counts) and ULP-bounded (<= 4, per-tap FMA
+ * allowed; currently bit-exact) for float/double — see
+ * docs/kernels.md and the differential fuzz sweep in
+ * tests/test_kernels.cc.
  *
  * Explicit Euler only (construction is fatal on a Heun spec): the
  * fused pass implements the hardware's one-convolution-per-step
@@ -66,7 +67,7 @@ class SoaEngine final : public Engine
      * @param evaluator strategy for nonlinear functions; when null a
      *                  DirectEvaluator (ideal math) is used.
      * @param path      stepping implementation; kAuto resolves to the
-     *                  blocked kernels unless CENN_KERNEL_PATH says
+     *                  simd kernels unless CENN_KERNEL_PATH says
      *                  otherwise.
      */
     explicit SoaEngine(const NetworkSpec& spec,
@@ -177,7 +178,7 @@ class SoaEngine final : public Engine
     T neg_one_{};
     T bval_{};  ///< Dirichlet boundary value
     KernelPath path_ = KernelPath::kBlocked;
-    /** Dispatched vector kernel; null when T has none (Fixed32). */
+    /** Dispatched vector kernel; set on the simd path only. */
     SimdStepFn<T> simd_step_ = nullptr;
     std::uint64_t steps_ = 0;
 

@@ -16,9 +16,16 @@ struct SimdBackend {
   const char* isa;
   SimdStepFn<double> step_d;
   SimdStepFn<float> step_f;
+  SimdStepFn<Fixed32> step_q;
   int lanes_d;
   int lanes_f;
+  int lanes_i;
 };
+
+/** The entry points one soa_simd_*.cc TU exports, as a backend. */
+#define CENN_SIMD_BACKEND(name, ns)                                     \
+  SimdBackend{name, &ns::StepRowsD, &ns::StepRowsF, &ns::StepRowsQ,     \
+              ns::LanesD(), ns::LanesF(), ns::LanesI()}
 
 /**
  * Backends this build carries AND this CPU can run, ordered worst to
@@ -29,25 +36,22 @@ std::vector<SimdBackend>
 AvailableBackends()
 {
   std::vector<SimdBackend> avail;
-  avail.push_back({"generic", &simd_generic::StepRowsD,
-                   &simd_generic::StepRowsF, simd_generic::LanesD(),
-                   simd_generic::LanesF()});
+  avail.push_back(CENN_SIMD_BACKEND("generic", simd_generic));
 #if defined(__x86_64__) || defined(_M_X64)
-  avail.push_back({"sse2", &simd_sse2::StepRowsD, &simd_sse2::StepRowsF,
-                   simd_sse2::LanesD(), simd_sse2::LanesF()});
+  avail.push_back(CENN_SIMD_BACKEND("sse2", simd_sse2));
 #if defined(__GNUC__) || defined(__clang__)
   if (__builtin_cpu_supports("avx2")) {
-    avail.push_back({"avx2", &simd_avx2::StepRowsD, &simd_avx2::StepRowsF,
-                     simd_avx2::LanesD(), simd_avx2::LanesF()});
+    avail.push_back(CENN_SIMD_BACKEND("avx2", simd_avx2));
   }
 #endif
 #endif
 #if defined(__aarch64__)
-  avail.push_back({"neon", &simd_neon::StepRowsD, &simd_neon::StepRowsF,
-                   simd_neon::LanesD(), simd_neon::LanesF()});
+  avail.push_back(CENN_SIMD_BACKEND("neon", simd_neon));
 #endif
   return avail;
 }
+
+#undef CENN_SIMD_BACKEND
 
 /**
  * Probes once per process: the widest available backend, unless
@@ -101,6 +105,12 @@ SimdLanesFloat()
   return PickBackend().lanes_f;
 }
 
+int
+SimdLanesInt32()
+{
+  return PickBackend().lanes_i;
+}
+
 template <>
 SimdStepFn<double>
 SimdStepFor<double>()
@@ -119,9 +129,7 @@ template <>
 SimdStepFn<Fixed32>
 SimdStepFor<Fixed32>()
 {
-  // The Q16.16 datapath has no vector kernels yet; SoaEngine falls
-  // back to the bit-identical blocked path.
-  return nullptr;
+  return PickBackend().step_q;
 }
 
 }  // namespace cenn

@@ -20,9 +20,10 @@
  * overrides the probe; naming an ISA the CPU or build does not
  * support is fatal, as is an unknown value.
  *
- * Fixed32 has no vector kernels yet (the Q16.16 datapath is all
- * integer; SoaEngine falls back to the bit-identical blocked path),
- * so SimdStepFor<Fixed32>() returns nullptr.
+ * Every precision has vector kernels: double and float lanes, and
+ * Q16.16 int32 lanes for Fixed32 (saturating ops, exact saturation
+ * counts and packed Q16.16 LUT gathers — bit-identical to the scalar
+ * path, see docs/kernels.md).
  */
 
 #include <cstddef>
@@ -58,8 +59,8 @@ using SimdStepFn = void (*)(const SimdStepView<T>&, std::size_t,
                             std::size_t);
 
 /**
- * The dispatched step kernel for T, or nullptr when T has no vector
- * kernels (Fixed32). Probes the CPU on first use; thread-safe.
+ * The dispatched step kernel for T (double, float or Fixed32). Probes
+ * the CPU on first use; thread-safe.
  */
 template <typename T>
 SimdStepFn<T> SimdStepFor();
@@ -80,6 +81,9 @@ int SimdLanesDouble();
 /** Float lanes per iteration of the dispatched kernels (4-8). */
 int SimdLanesFloat();
 
+/** Q16.16 (int32) lanes per iteration of the dispatched kernels (4-8). */
+int SimdLanesInt32();
+
 // Per-ISA entry points (defined by the soa_simd_*.cc TUs; declared
 // here so the dispatcher can reference them without target flags).
 #define CENN_DECLARE_SIMD_ENTRIES(ns)                                      \
@@ -88,8 +92,11 @@ int SimdLanesFloat();
                  std::size_t row_end);                                     \
   void StepRowsF(const SimdStepView<float>& view, std::size_t row_begin,   \
                  std::size_t row_end);                                     \
+  void StepRowsQ(const SimdStepView<Fixed32>& view, std::size_t row_begin, \
+                 std::size_t row_end);                                     \
   int LanesD();                                                            \
   int LanesF();                                                            \
+  int LanesI();                                                            \
   }
 
 CENN_DECLARE_SIMD_ENTRIES(simd_generic)

@@ -5,8 +5,8 @@
  *
  *   CENN_SIMD_NS      — the namespace for this ISA's entry points
  *                       (e.g. simd_avx2), matching soa_simd.h
- *   CENN_SIMD_VEC_NS  — the kernels/vec.h namespace providing VecD
- *                       and VecF (e.g. ::cenn::vec::avx2)
+ *   CENN_SIMD_VEC_NS  — the kernels/vec.h namespace providing VecD,
+ *                       VecF and VecI (e.g. ::cenn::vec::avx2)
  *
  * and must be compiled with -ffp-contract=off (set in the kernels
  * CMakeLists): everything here — vector ops, scalar edge cells,
@@ -14,6 +14,11 @@
  * the simd path stays bit-identical to the scalar/blocked kernels
  * (the contract in docs/kernels.md allows per-tap FMA, but the
  * current kernels intentionally do not use it).
+ *
+ * Fixed32 runs the same body over VecQ (Q16.16 lanes with Fixed32's
+ * saturating ops and exact saturation counting, defined below);
+ * integer ops do not round, so that path is bit-identical by
+ * construction, saturation counts and LUT counters included.
  *
  * Structure per destination row (identical operation order to
  * SoaEngine::ComputeRowsBlocked, lane-parallel over columns):
@@ -28,12 +33,14 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "core/network_spec.h"
+#include "fixed/fixed32.h"
 #include "kernels/soa_simd.h"
 #include "kernels/vec.h"
 #include "lut/lut_traffic.h"
@@ -45,12 +52,108 @@ namespace {
 
 using VecD = CENN_SIMD_VEC_NS::VecD;
 using VecF = CENN_SIMD_VEC_NS::VecF;
+using VecI = CENN_SIMD_VEC_NS::VecI;
 
 static_assert(VecF::kLanes == 2 * VecD::kLanes,
               "float factor widening assumes twice the double lanes");
+static_assert(sizeof(Fixed32) == sizeof(std::int32_t),
+              "Fixed32 fields are read as raw int32 words");
 
 /** Factor-array bound, mirroring soa_engine.cc. */
 constexpr std::size_t kMaxFactors = 8;
+
+/** Bit mask of the first n lanes. */
+constexpr unsigned
+LaneBits(int n)
+{
+  return n >= 32 ? ~0u : (1u << n) - 1u;
+}
+
+/**
+ * A Fixed32 array as its raw words. VecI reads and writes through
+ * intrinsics or memcpy, never through the int32 pointer itself.
+ */
+inline const std::int32_t*
+RawWords(const Fixed32* p)
+{
+  return reinterpret_cast<const std::int32_t*>(p);
+}
+
+inline std::int32_t*
+RawWords(Fixed32* p)
+{
+  return reinterpret_cast<std::int32_t*>(p);
+}
+
+/**
+ * Q16.16 lanes for the shared step body: VecI words under Fixed32's
+ * saturating +, - and * (vec.h's AddSat/SubSat/MulQ16), and the same
+ * load/store/broadcast surface as VecD. Each op adds its clamped lanes
+ * to the thread's saturation sink, as the scalar ops do per cell, but
+ * only lanes set in `count`: all lanes of a Load or Broadcast, the
+ * first n of a LoadPartial. A result keeps the lanes both operands
+ * count, so the garbage lanes past a row's end never count, whatever
+ * op chain they flow through.
+ */
+struct VecQ {
+  static constexpr int kLanes = VecI::kLanes;
+  static constexpr unsigned kAll = LaneBits(kLanes);
+
+  VecI v;
+  unsigned count = kAll;
+
+  static VecQ Broadcast(Fixed32 x) { return {VecI::Broadcast(x.raw()), kAll}; }
+  static VecQ Load(const Fixed32* p) { return {VecI::Load(RawWords(p)), kAll}; }
+
+  static VecQ
+  LoadPartial(const Fixed32* p, int n)
+  {
+    return {VecI::LoadPartial(RawWords(p), n), LaneBits(n)};
+  }
+
+  void Store(Fixed32* p) const { v.Store(RawWords(p)); }
+  void StorePartial(Fixed32* p, int n) const { v.StorePartial(RawWords(p), n); }
+
+  VecQ
+  operator+(VecQ o) const
+  {
+    unsigned sat = 0;
+    const VecQ r{VecI::AddSat(v, o.v, &sat), count & o.count};
+    CountClamps(sat, r.count);
+    return r;
+  }
+
+  VecQ
+  operator-(VecQ o) const
+  {
+    unsigned sat = 0;
+    const VecQ r{VecI::SubSat(v, o.v, &sat), count & o.count};
+    CountClamps(sat, r.count);
+    return r;
+  }
+
+  VecQ
+  operator*(VecQ o) const
+  {
+    unsigned sat = 0;
+    const VecQ r{VecI::MulQ16(v, o.v, &sat), count & o.count};
+    CountClamps(sat, r.count);
+    return r;
+  }
+
+  /** a*b + c as two saturating ops, like the scalar expression. */
+  static VecQ MulAdd(VecQ a, VecQ b, VecQ c) { return a * b + c; }
+
+  /** Reports the clamped lanes among `lanes` (rare: one test). */
+  static void
+  CountClamps(unsigned sat, unsigned lanes)
+  {
+    if ((sat & lanes) != 0) [[unlikely]] {
+      Fixed32::CountSaturations(
+          static_cast<std::uint64_t>(std::popcount(sat & lanes)));
+    }
+  }
+};
 
 template <typename T>
 struct VecFor;
@@ -61,6 +164,10 @@ struct VecFor<double> {
 template <>
 struct VecFor<float> {
   using type = VecF;
+};
+template <>
+struct VecFor<Fixed32> {
+  using type = VecQ;
 };
 
 /** Zero-flux index clamp (Grid2D::ClampIndex semantics). */
@@ -277,6 +384,74 @@ EvalFactorVec(const CompiledFactor<float>& f, VecF ctrl, int n)
   return VecF::Load(ys);
 }
 
+/**
+ * Vectorized OffChipLut::EvaluateFixed over a table's packed Q16.16
+ * lanes. The index is IndexOf(Fixed32)'s arithmetic shift clamped
+ * into the table, the exact-sample test is IsExactSample's low-bit
+ * and range test, both on raw words; p is rebuilt as the clamped
+ * index shifted back (PackedFixedView). Four int32 gathers feed the
+ * delta-form cubic l_p + d(a1 + d(a2 + d a3)) in saturating Q16.16.
+ * Exact-sample lanes return l_p. The scalar call never computes their
+ * cubic, and here it cannot clamp: an exact sample is its own p, so
+ * d = 0 and every op of the cubic is exact, which keeps the clamp
+ * count equal to scalar's. LutTally counts the valid lanes and their
+ * exact hits, as that many scalar calls would.
+ */
+inline VecQ
+LutGatherEvalQ(const PackedFixedView& lut, VecQ x)
+{
+  const VecI zero = VecI::Zero();
+  const VecI units = VecI::Min(
+      VecI::Max(x.v.ShiftRightArith(lut.shift),
+                VecI::Broadcast(lut.min_units)),
+      VecI::Broadcast(lut.max_units));
+  const VecI idx = units - VecI::Broadcast(lut.min_units);
+  const VecI low_bits =
+      VecI::Broadcast((std::int32_t{1} << lut.shift) - 1);
+  VecI exact = (x.v & low_bits).CmpEq(zero);
+  exact = VecI::Select(VecI::Broadcast(lut.min_raw).CmpGt(x.v), zero, exact);
+  exact = VecI::Select(x.v.CmpGt(VecI::Broadcast(lut.max_raw)), zero, exact);
+
+  const VecI lp = VecI::Gather(lut.l_p, idx);
+  const VecQ d = x - VecQ{units.ShiftLeft(lut.shift)};
+  const VecQ cubic =
+      VecQ{lp} +
+      d * (VecQ{VecI::Gather(lut.a1, idx)} +
+           d * (VecQ{VecI::Gather(lut.a2, idx)} +
+                d * VecQ{VecI::Gather(lut.a3, idx)}));
+  if (lut_traffic::t_tally != nullptr) {
+    lut_traffic::CountAccesses(
+        static_cast<std::uint64_t>(std::popcount(x.count)),
+        static_cast<std::uint64_t>(std::popcount(exact.MoveMask() & x.count)));
+  }
+  return {VecI::Select(exact, lp, cubic.v), x.count};
+}
+
+/**
+ * Fixed32 factors: packed Q16.16 gathers for described LUT views,
+ * otherwise exact per-lane closure calls (whose scalar ops count
+ * their own clamps and LUT traffic; tail lanes are one and never
+ * stored). Polynomials bound by DirectEvaluator<Fixed32> convert
+ * through double per lane and take the closure too.
+ */
+inline VecQ
+EvalFactorVec(const CompiledFactor<Fixed32>& f, VecQ ctrl, int n)
+{
+  if (f.vec.lut_view.packed_fixed.Valid()) {
+    return LutGatherEvalQ(f.vec.lut_view.packed_fixed, ctrl);
+  }
+  Fixed32 xs[VecQ::kLanes];
+  Fixed32 ys[VecQ::kLanes];
+  ctrl.Store(xs);
+  for (int i = 0; i < n; ++i) {
+    ys[i] = f.eval(xs[i]);
+  }
+  for (int i = n; i < VecQ::kLanes; ++i) {
+    ys[i] = Fixed32::FromRaw(static_cast<std::int32_t>(Fixed32::kOne));
+  }
+  return {VecQ::Load(ys).v, ctrl.count};
+}
+
 /** SoaEngine::ApplyTapRow with vector strips over [lo, hi). */
 template <typename T>
 void
@@ -357,12 +532,17 @@ ApplyTapRowV(const SimdStepView<T>& v, const CompiledTap<T>& tap,
     src_ctrl[i] = v.state->Row(tap.factors[i].ctrl_layer, msr) + dc;
   }
   const V w = V::Broadcast(tap.weight);
-  const V one = V::Broadcast(v.one);
   for (std::ptrdiff_t c = lo; c < hi; c += V::kLanes) {
     const int n =
         static_cast<int>(std::min<std::ptrdiff_t>(V::kLanes, hi - c));
-    V prod = one;
-    for (std::size_t i = 0; i < nf; ++i) {
+    // The scalar product starts at one; one * f is exactly f at every
+    // precision (no rounding, no clamp), so it starts at f here.
+    V prod = EvalFactorVec(tap.factors[0],
+                           V::LoadPartial((tap.factors[0].at_source
+                                               ? src_ctrl[0]
+                                               : dest_ctrl[0]) + c, n),
+                           n);
+    for (std::size_t i = 1; i < nf; ++i) {
       const CompiledFactor<T>& f = tap.factors[i];
       const T* ctrlp = f.at_source ? src_ctrl[i] : dest_ctrl[i];
       const V ctrl = V::LoadPartial(ctrlp + c, n);
@@ -402,12 +582,13 @@ ApplyOffsetRowV(const SimdStepView<T>& v, const CompiledOffset<T>& off,
     ctrl_rows[i] = v.state->Row(off.factors[i].ctrl_layer, r);
   }
   const V k = V::Broadcast(off.constant);
-  const V one = V::Broadcast(v.one);
   for (std::ptrdiff_t c = 0; c < cols; c += V::kLanes) {
     const int n =
         static_cast<int>(std::min<std::ptrdiff_t>(V::kLanes, cols - c));
-    V prod = one;
-    for (std::size_t i = 0; i < nf; ++i) {
+    // As in ApplyTapRowV: the product starts at the first factor.
+    V prod = EvalFactorVec(off.factors[0],
+                           V::LoadPartial(ctrl_rows[0] + c, n), n);
+    for (std::size_t i = 1; i < nf; ++i) {
       prod = prod * EvalFactorVec(off.factors[i],
                                   V::LoadPartial(ctrl_rows[i] + c, n), n);
     }
@@ -484,6 +665,13 @@ StepRowsF(const SimdStepView<float>& view, std::size_t row_begin,
   StepRowsT<float>(view, row_begin, row_end);
 }
 
+void
+StepRowsQ(const SimdStepView<Fixed32>& view, std::size_t row_begin,
+          std::size_t row_end)
+{
+  StepRowsT<Fixed32>(view, row_begin, row_end);
+}
+
 int
 LanesD()
 {
@@ -494,6 +682,12 @@ int
 LanesF()
 {
   return VecF::kLanes;
+}
+
+int
+LanesI()
+{
+  return VecI::kLanes;
 }
 
 }  // namespace CENN_SIMD_NS

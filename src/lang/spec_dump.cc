@@ -1,11 +1,12 @@
 #include "lang/spec_dump.h"
 
-#include <cstring>
+#include <bit>
 #include <sstream>
 
 #include "core/grid.h"
 #include "lang/printer.h"
 #include "mapping/mapper.h"
+#include "util/hash.h"
 
 namespace cenn::lang {
 namespace {
@@ -14,15 +15,9 @@ namespace {
 std::uint64_t
 FieldHash(const std::vector<double>& field)
 {
-  std::uint64_t hash = 14695981039346656037ULL;
+  std::uint64_t hash = kFnvOffsetBasis;
   for (const double x : field) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(x));
-    std::memcpy(&bits, &x, sizeof(bits));
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (bits >> (8 * i)) & 0xffU;
-      hash *= 1099511628211ULL;
-    }
+    hash = FnvMix(hash, std::bit_cast<std::uint64_t>(x));
   }
   return hash;
 }

@@ -46,6 +46,21 @@ class LutEvaluatorFixed final : public FunctionEvaluator<Fixed32>
         };
     }
 
+    /**
+     * The simd kernels gather the table's packed Q16.16 lanes; tables
+     * without them (min_p off the sample grid) stay on the closure.
+     */
+    FactorVecInfo
+    Describe(const NonlinearFunction& fn) override
+    {
+        FactorVecInfo info;
+        const LutView view = bank_->Get(fn).View();
+        if (view.packed_fixed.Valid()) {
+          info.lut_view = view;
+        }
+        return info;
+    }
+
     /** Adopts a refit bank; closures bound earlier keep the old one. */
     bool
     RebindLutBank(const std::shared_ptr<const LutBank>& bank) override

@@ -7,22 +7,12 @@
 #include <vector>
 
 #include "obs/stat_registry.h"
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace cenn {
 
 namespace {
-
-/** FNV-1a over a 64-bit word (the repo's checksum idiom). */
-std::uint64_t
-FnvMix(std::uint64_t h, std::uint64_t word)
-{
-  for (int i = 0; i < 8; ++i) {
-    h ^= (word >> (8 * i)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 std::uint64_t
 FnvMixDouble(std::uint64_t h, double v)

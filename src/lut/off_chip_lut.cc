@@ -74,6 +74,50 @@ OffChipLut::OffChipLut(NonlinearFnPtr fn, LutSpec spec)
   grid_aligned_ = std::floor(units) == units &&
                   units >= -2147483648.0 && units <= 2147483647.0;
   min_p_units_ = grid_aligned_ ? static_cast<std::int64_t>(units) : 0;
+  BuildPackedFixed();
+}
+
+void
+OffChipLut::BuildPackedFixed()
+{
+  // The vector Q16.16 path rebuilds p as (min_units + i) << shift, so
+  // every sample point must be an exact Q16.16 word: on the grid and
+  // inside the int32 raw range (where FromDouble(p) did not clamp).
+  const int shift = Fixed32::kFracBits - spec_.frac_index_bits;
+  const std::int64_t first = min_p_units_ * (std::int64_t{1} << shift);
+  const std::int64_t last =
+      (min_p_units_ + NumEntries() - 1) * (std::int64_t{1} << shift);
+  if (!grid_aligned_ || first < INT32_MIN || last > INT32_MAX) {
+    return;
+  }
+  const auto n = static_cast<std::size_t>(NumEntries());
+  packed_fixed_l_p_.resize(n);
+  packed_fixed_a1_.resize(n);
+  packed_fixed_a2_.resize(n);
+  packed_fixed_a3_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    packed_fixed_l_p_[i] = fixed_entries_[i].l_p.raw();
+    packed_fixed_a1_[i] = fixed_entries_[i].a1.raw();
+    packed_fixed_a2_[i] = fixed_entries_[i].a2.raw();
+    packed_fixed_a3_[i] = fixed_entries_[i].a3.raw();
+  }
+  PackedFixedView& v = packed_fixed_;
+  v.l_p = packed_fixed_l_p_.data();
+  v.a1 = packed_fixed_a1_.data();
+  v.a2 = packed_fixed_a2_.data();
+  v.a3 = packed_fixed_a3_.data();
+  v.shift = shift;
+  v.min_units = static_cast<std::int32_t>(min_p_units_);
+  v.max_units = static_cast<std::int32_t>(min_p_units_ + NumEntries() - 1);
+  // IsExactSample's range test on raw bits: v >= min_p is
+  // raw >= min_p * 2^16 (an integer here), v <= max_p is
+  // raw <= floor(max_p * 2^16), clamped into the raw range.
+  v.min_raw = static_cast<std::int32_t>(first);
+  const double max_raw = std::floor(spec_.max_p * static_cast<double>(
+                                                      Fixed32::kOne));
+  v.max_raw = max_raw >= static_cast<double>(INT32_MAX)
+                  ? INT32_MAX
+                  : static_cast<std::int32_t>(max_raw);
 }
 
 int
@@ -118,6 +162,7 @@ OffChipLut::View() const
   LutView v;
   v.entries = entries_.data();
   v.packed = packed_;
+  v.packed_fixed = packed_fixed_;
   v.min_p = spec_.min_p;
   v.spacing = spec_.Spacing();
   v.num_entries = NumEntries();
@@ -128,8 +173,11 @@ std::uint64_t
 OffChipLut::FootprintBytes() const
 {
   const auto n = static_cast<std::uint64_t>(entries_.size());
+  const auto fixed_lanes =
+      static_cast<std::uint64_t>(packed_fixed_l_p_.size());
   return n * (sizeof(TaylorTuple) + sizeof(FixedTuple) +
-              4 * sizeof(double));
+              4 * sizeof(double)) +
+         fixed_lanes * 4 * sizeof(std::int32_t);
 }
 
 const TaylorTuple&

@@ -103,8 +103,16 @@ class OffChipLut
     const PackedTaylorView& Packed() const { return packed_; }
 
     /**
+     * Packed Q16.16 lanes and raw-bit geometry (subset of View());
+     * unset when a sample point is not a Q16.16 word (see
+     * PackedFixedView).
+     */
+    const PackedFixedView& PackedFixed() const { return packed_fixed_; }
+
+    /**
      * Resident bytes of this table: AoS entries, quantized entries
-     * and packed lanes (the LutStore's resident_bytes accounting).
+     * and both packed lane sets (the LutStore's resident_bytes
+     * accounting).
      */
     std::uint64_t FootprintBytes() const;
 
@@ -157,6 +165,9 @@ class OffChipLut
     Fixed32 EvaluateFixedExpanded(Fixed32 x) const;
 
   private:
+    /** Fills the packed Q16.16 lanes when every p is a Q16.16 word. */
+    void BuildPackedFixed();
+
     /** Q16.16-quantized copy of one entry, as stored in memory. */
     struct FixedTuple {
       Fixed32 l_p;
@@ -184,6 +195,15 @@ class OffChipLut
     std::vector<double> packed_a2_;
     std::vector<double> packed_a3_;
     PackedTaylorView packed_;
+    ///@}
+
+    /** @name Packed Q16.16 lanes (raw fixed_entries_ fields). */
+    ///@{
+    std::vector<std::int32_t> packed_fixed_l_p_;
+    std::vector<std::int32_t> packed_fixed_a1_;
+    std::vector<std::int32_t> packed_fixed_a2_;
+    std::vector<std::int32_t> packed_fixed_a3_;
+    PackedFixedView packed_fixed_;
     ///@}
 
     /** min_p / spacing when min_p sits on the sample grid. */

@@ -2,12 +2,19 @@
 
 #include <cstring>
 
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace cenn {
 namespace {
 
-constexpr std::uint32_t kCheckpointMagic = 0x43655350;  // "CeSP"
+// "CeSF": the format whose trailer is a 64-bit FNV-1a over every
+// preceding byte. Files of the older additive-sum format ("CeSP")
+// read as foreign, so a resume over one starts the job over.
+constexpr std::uint32_t kCheckpointMagic = 0x43655346;
+
+/** Bytes of the trailing FNV-1a hash. */
+constexpr std::size_t kTrailerBytes = 8;
 
 void
 PutU32(std::vector<std::uint8_t>* out, std::uint32_t v)
@@ -159,11 +166,7 @@ SerializeCheckpoint(const Checkpoint& cp)
       PutF64(&out, v);
     }
   }
-  std::uint32_t sum = 0;
-  for (std::uint8_t b : out) {
-    sum += b;
-  }
-  PutU32(&out, sum);
+  PutU64(&out, FnvMix(kFnvOffsetBasis, out));
   return out;
 }
 
@@ -178,23 +181,21 @@ DeserializeCheckpoint(std::span<const std::uint8_t> bytes, Checkpoint* out,
   };
   // Smallest valid file: magic, empty name, geometry, steps, zero
   // layers, checksum.
-  constexpr std::size_t kMinBytes = 4 + 4 + 8 + 8 + 8 + 4 + 4;
+  constexpr std::size_t kMinBytes = 4 + 4 + 8 + 8 + 8 + 4 + kTrailerBytes;
   if (bytes.size() < kMinBytes) {
     return fail("too short");
   }
-  Reader r(bytes.first(bytes.size() - 4));
+  const std::span<const std::uint8_t> body =
+      bytes.first(bytes.size() - kTrailerBytes);
+  Reader r(body);
   std::uint64_t magic = 0;
   r.Uint(4, &magic);
   if (magic != kCheckpointMagic) {
     return fail("has bad magic (not a checkpoint)");
   }
-  std::uint32_t sum = 0;
-  for (std::size_t i = 0; i + 4 < bytes.size(); ++i) {
-    sum += bytes[i];
-  }
   std::uint64_t stored = 0;
-  Reader(bytes.last(4)).Uint(4, &stored);
-  if (sum != stored) {
+  Reader(bytes.last(kTrailerBytes)).Uint(kTrailerBytes, &stored);
+  if (FnvMix(kFnvOffsetBasis, body) != stored) {
     return fail("checksum mismatch");
   }
 

@@ -86,7 +86,10 @@ RestoreCheckpoint(const Checkpoint& cp, MultilayerCenn<T>* engine)
   engine->SetSteps(cp.steps);
 }
 
-/** Serializes a checkpoint to bytes (magic + checksum protected). */
+/**
+ * Serializes a checkpoint to bytes: magic, payload, and a 64-bit
+ * FNV-1a of everything before it (util/hash.h).
+ */
 std::vector<std::uint8_t> SerializeCheckpoint(const Checkpoint& cp);
 
 /**

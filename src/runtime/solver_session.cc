@@ -1,6 +1,6 @@
 #include "runtime/solver_session.h"
 
-#include <cstring>
+#include <bit>
 #include <fstream>
 
 #include "arch/simulator.h"
@@ -9,6 +9,7 @@
 #include "obs/stat_registry.h"
 #include "runtime/sharded_stepper.h"
 #include "runtime/worker_team.h"
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace cenn {
@@ -324,20 +325,11 @@ std::uint64_t
 SolverSession::StateChecksum() const
 {
   const Checkpoint cp = Capture();
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
-  auto mix = [&h](std::uint64_t bits) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (bits >> (8 * b)) & 0xffULL;
-      h *= 1099511628211ULL;  // FNV prime
-    }
-  };
-  mix(cp.steps);
+  // FNV-1a from the start value every pinned checksum was made with.
+  std::uint64_t h = FnvMix(1469598103934665603ULL, cp.steps);
   for (const auto& layer : cp.layer_states) {
     for (double v : layer) {
-      std::uint64_t bits = 0;
-      static_assert(sizeof(bits) == sizeof(v));
-      std::memcpy(&bits, &v, sizeof(bits));
-      mix(bits);
+      h = FnvMix(h, std::bit_cast<std::uint64_t>(v));
     }
   }
   return h;

@@ -91,10 +91,11 @@ CommonOptionsHelp(unsigned groups)
   if ((groups & kEngineFlags) != 0) {
     out +=
         "  --exec=POLICY                execution policy: colon-separated\n"
-        "                               engine (functional|soa|arch),\n"
-        "                               precision (double|fixed|float),\n"
-        "                               memory (ddr3|hmc-int|hmc-ext) and\n"
-        "                               kernel (auto|scalar|blocked|simd)\n"
+        "                               engine (soa|functional|arch;\n"
+        "                               default soa), precision\n"
+        "                               (double|fixed|float), memory\n"
+        "                               (ddr3|hmc-int|hmc-ext) and kernel\n"
+        "                               (auto=simd|scalar|blocked|simd)\n"
         "                               tokens plus shards=N and pin=\n"
         "                               none|cores|numa, e.g.\n"
         "                               --exec=soa:simd:shards=8:pin=numa\n"

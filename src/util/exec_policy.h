@@ -36,8 +36,11 @@ namespace cenn {
 
 /** How a run executes: backend, kernels and team shape. */
 struct ExecPolicy {
-  /** "functional", "soa" or "arch". */
-  std::string engine = "functional";
+  /**
+   * "soa" (the default: the fast kernels), "functional" (the IR-walking
+   * cross-engine oracle, and the only Heun engine) or "arch".
+   */
+  std::string engine = "soa";
 
   /** "double", "fixed" or "float"; empty = engine default (fixed). */
   std::string precision;
@@ -45,7 +48,8 @@ struct ExecPolicy {
   /** Arch memory system: "ddr3", "hmc-int" or "hmc-ext". */
   std::string memory = "ddr3";
 
-  /** SoA stepping kernels: "auto", "scalar", "blocked" or "simd". */
+  /** SoA stepping kernels: "auto" (= simd), "scalar", "blocked" or
+      "simd". */
   std::string kernel_path = "auto";
 
   /** Band-parallel worker-team size (1 = serial). */

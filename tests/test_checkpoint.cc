@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "mapping/mapper.h"
 #include "models/benchmark_model.h"
 #include "program/checkpoint.h"
+#include "util/hash.h"
 
 namespace cenn {
 namespace {
@@ -27,17 +29,45 @@ RdSpec()
   return Mapper::Map(MakeModel("reaction_diffusion", mc)->System());
 }
 
-/** Recomputes the trailing additive checksum after an edit. */
+/** Bytes of the trailing FNV-1a hash. */
+constexpr std::size_t kTrailer = 8;
+
+/** Recomputes the trailing FNV-1a hash after an edit. */
 void
 Reseal(std::vector<std::uint8_t>* bytes)
 {
-  std::uint32_t sum = 0;
-  for (std::size_t i = 0; i + 4 < bytes->size(); ++i) {
-    sum += (*bytes)[i];
+  const std::uint64_t hash = FnvMix(
+      kFnvOffsetBasis,
+      std::span<const std::uint8_t>(*bytes).first(bytes->size() - kTrailer));
+  for (std::size_t i = 0; i < kTrailer; ++i) {
+    (*bytes)[bytes->size() - kTrailer + i] =
+        static_cast<std::uint8_t>(hash >> (8 * i));
   }
-  for (int i = 0; i < 4; ++i) {
-    (*bytes)[bytes->size() - 4 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+}
+
+/**
+ * Flips bit 4 of two payload bytes, one from 0 to 1 and one from 1 to
+ * 0: the byte sum does not move. Returns false if the payload has no
+ * such pair.
+ */
+bool
+CompensatingFlips(std::vector<std::uint8_t>* bytes, std::size_t from)
+{
+  constexpr std::uint8_t kBit = 0x10;
+  std::size_t set = 0;
+  std::size_t clear = 0;
+  for (std::size_t i = from; i + kTrailer < bytes->size(); ++i) {
+    std::size_t& slot = ((*bytes)[i] & kBit) != 0 ? set : clear;
+    if (slot == 0) {
+      slot = i;
+    }
   }
+  if (set == 0 || clear == 0) {
+    return false;
+  }
+  (*bytes)[set] ^= kBit;
+  (*bytes)[clear] ^= kBit;
+  return true;
 }
 
 TEST(CheckpointTest, FixedEngineContinuationIsBitExact)
@@ -116,6 +146,31 @@ TEST(CheckpointTest, CorruptionDetected)
   EXPECT_NE(error.find("checksum"), std::string::npos) << error;
 }
 
+TEST(CheckpointTest, CompensatingBitFlipsAreDetected)
+{
+  // Two flips that cancel in a byte sum (one 0->1, one 1->0 in the
+  // same bit) must still fail the hash.
+  const NetworkSpec spec = RdSpec();
+  MultilayerCenn<double> engine(spec);
+  engine.Run(5);
+  auto bytes = SerializeCheckpoint(CaptureCheckpoint(engine));
+  const std::size_t first_value = 4 + 4 + spec.name.size() + 8 + 8 + 8 + 4 + 8;
+  ASSERT_TRUE(CompensatingFlips(&bytes, first_value));
+  std::uint32_t sum_before = 0;
+  std::uint32_t sum_after = 0;
+  const auto good = SerializeCheckpoint(CaptureCheckpoint(engine));
+  for (std::size_t i = 0; i + kTrailer < bytes.size(); ++i) {
+    sum_before += good[i];
+    sum_after += bytes[i];
+  }
+  ASSERT_EQ(sum_before, sum_after);
+
+  Checkpoint back;
+  std::string error;
+  EXPECT_FALSE(DeserializeCheckpoint(bytes, &back, &error));
+  EXPECT_NE(error.find("checksum"), std::string::npos) << error;
+}
+
 TEST(CheckpointTest, TornInputIsAnErrorAtEveryLength)
 {
   const NetworkSpec spec = RdSpec();
@@ -161,7 +216,7 @@ TEST(CheckpointTest, ForeignOrLyingInputIsAnError)
 
   // Bytes after the last layer.
   auto padded = good;
-  padded.insert(padded.end() - 4, 0);
+  padded.insert(padded.end() - kTrailer, 0);
   Reseal(&padded);
   EXPECT_FALSE(DeserializeCheckpoint(padded, &back, &error));
   EXPECT_NE(error.find("trailing"), std::string::npos) << error;

@@ -16,6 +16,7 @@
 #include "core/network.h"
 #include "core/solver.h"
 #include "kernels/kernel_path.h"
+#include "kernels/soa_engine.h"
 #include "kernels/soa_simd.h"
 #include "models/benchmark_model.h"
 #include "obs/stat_registry.h"
@@ -133,15 +134,28 @@ TEST(KernelPathTest, ParsesEveryChoiceAndRejectsUnknown)
 
 TEST(KernelPathTest, EnvOverrideSelectsThePathItNames)
 {
-  setenv("CENN_KERNEL_PATH", "simd", 1);
-  EXPECT_EQ(ResolveKernelPath(KernelPath::kAuto), KernelPath::kSimd);
-  EXPECT_EQ(ResolveKernelPath(KernelPath::kBlocked), KernelPath::kSimd);
+  setenv("CENN_KERNEL_PATH", "blocked", 1);
+  EXPECT_EQ(ResolveKernelPath(KernelPath::kAuto), KernelPath::kBlocked);
+  EXPECT_EQ(ResolveKernelPath(KernelPath::kSimd), KernelPath::kBlocked);
+  // "auto" and the empty string override nothing: the request stands.
   setenv("CENN_KERNEL_PATH", "auto", 1);
-  EXPECT_EQ(ResolveKernelPath(KernelPath::kAuto), KernelPath::kBlocked);
+  EXPECT_EQ(ResolveKernelPath(KernelPath::kScalar), KernelPath::kScalar);
   setenv("CENN_KERNEL_PATH", "", 1);  // empty means unset
-  EXPECT_EQ(ResolveKernelPath(KernelPath::kSimd), KernelPath::kSimd);
+  EXPECT_EQ(ResolveKernelPath(KernelPath::kBlocked), KernelPath::kBlocked);
   unsetenv("CENN_KERNEL_PATH");
-  EXPECT_EQ(ResolveKernelPath(KernelPath::kAuto), KernelPath::kBlocked);
+  EXPECT_EQ(ResolveKernelPath(KernelPath::kBlocked), KernelPath::kBlocked);
+}
+
+TEST(KernelPathTest, AutoResolvesToSimdAtEveryPrecision)
+{
+  // The default path is the fast one: kAuto means the vector kernels,
+  // for Fixed32 as for double and float.
+  unsetenv("CENN_KERNEL_PATH");
+  EXPECT_EQ(ResolveKernelPath(KernelPath::kAuto), KernelPath::kSimd);
+  const SolverProgram program = ModelProgram("heat", 8, 8);
+  EXPECT_EQ(SoaEngine<Fixed32>(program.spec).Path(), KernelPath::kSimd);
+  EXPECT_EQ(SoaEngine<double>(program.spec).Path(), KernelPath::kSimd);
+  EXPECT_EQ(SoaEngine<float>(program.spec).Path(), KernelPath::kSimd);
 }
 
 TEST(KernelPathDeathTest, UnknownEnvOverrideIsFatalNotAFallback)
@@ -159,9 +173,9 @@ TEST(KernelPathDeathTest, UnknownEnvOverrideIsFatalNotAFallback)
 
 TEST(KernelPathDeathTest, UnknownSimdIsaIsFatalNotAFallback)
 {
-  // The simd dispatcher probes once per process, so this binary must
-  // not construct a simd engine before the forked death-test child
-  // reads the environment (no other test here does).
+  // The simd dispatcher probes once per process, so no simd engine may
+  // be built before the forked death-test child reads the environment;
+  // googletest runs *DeathTest suites before every other test.
   setenv("CENN_SIMD_ISA", "avx512", 1);
   EXPECT_DEATH(SimdIsaName(), "CENN_SIMD_ISA='avx512' is not available");
   unsetenv("CENN_SIMD_ISA");
@@ -368,9 +382,10 @@ TEST(ExecPolicyTest, ParsesBareTokensAndKeyValues)
   expected.pin = "numa";
   EXPECT_EQ(policy, expected);
 
-  // A bare double/fixed sets the precision; the engine keeps its
-  // default.
+  // A bare double/fixed sets the precision; the engine keeps the
+  // value it had.
   ExecPolicy bare;
+  bare.engine = "functional";
   ASSERT_TRUE(ParseExecPolicy("double", &bare, &error)) << error;
   EXPECT_EQ(bare.engine, "functional");
   EXPECT_EQ(bare.precision, "double");
@@ -430,8 +445,10 @@ TEST(ExecPolicyTest, RejectsUnknownTokensDuplicatesAndBadCounts)
 
 TEST(ExecPolicyTest, FormatRoundTripsAndOmitsDefaults)
 {
-  // Defaults collapse to just the engine name.
-  EXPECT_EQ(FormatExecPolicy(ExecPolicy{}), "functional");
+  // Default fields collapse to just the engine name.
+  ExecPolicy functional;
+  functional.engine = "functional";
+  EXPECT_EQ(FormatExecPolicy(functional), "functional");
 
   ExecPolicy full;
   full.engine = "soa";
@@ -446,6 +463,30 @@ TEST(ExecPolicyTest, FormatRoundTripsAndOmitsDefaults)
   std::string error;
   ASSERT_TRUE(ParseExecPolicy(text, &reparsed, &error)) << error;
   EXPECT_EQ(reparsed, full);
+}
+
+TEST(ExecPolicyTest, DefaultsAreTheFastPath)
+{
+  // No exec= at all means the soa engine on the simd kernels, at the
+  // engine default precision (fixed).
+  const ExecPolicy defaults;
+  EXPECT_EQ(defaults.engine, "soa");
+  EXPECT_EQ(defaults.kernel_path, "auto");
+  EXPECT_EQ(defaults.precision, "");
+  EXPECT_EQ(FormatExecPolicy(defaults), "soa");
+  // float is soa-only, so the default engine accepts it.
+  ExecPolicy float_only;
+  std::string error;
+  ASSERT_TRUE(ParseExecPolicy("float", &float_only, &error)) << error;
+  EXPECT_TRUE(ValidateExecPolicy(float_only, &error)) << error;
+
+  unsetenv("CENN_KERNEL_PATH");
+  const SolverProgram program = ModelProgram("heat", 8, 8);
+  const auto engine = BuildEngine(program, defaults);
+  EXPECT_STREQ(engine->Kind(), "soa");
+  const auto* soa = dynamic_cast<const SoaEngine<Fixed32>*>(engine.get());
+  ASSERT_NE(soa, nullptr);
+  EXPECT_EQ(soa->Path(), KernelPath::kSimd);
 }
 
 TEST(ExecPolicyTest, ValidateEnforcesCrossFieldRules)
@@ -489,6 +530,7 @@ TEST(ExecPolicyDeathTest, ToEngineRequestRejectsInvalidPolicies)
   // that fails ValidateExecPolicy is fatal there.
   const SolverProgram program = ModelProgram("heat", 8, 8);
   ExecPolicy bad;
+  bad.engine = "functional";
   bad.precision = "float";  // float is soa-only
   EXPECT_DEATH(BuildEngine(program, bad), "exec policy");
 }

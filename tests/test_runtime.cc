@@ -775,7 +775,7 @@ TEST(BatchManifestTest, ParsesJobsAndDefaults)
   EXPECT_EQ(jobs[0].rows, 32u);
   EXPECT_EQ(jobs[0].cols, 64u);
   EXPECT_EQ(jobs[0].steps, 100u);
-  EXPECT_EQ(jobs[0].exec.engine, "functional");
+  EXPECT_EQ(jobs[0].exec.engine, "soa");  // no exec=: the default engine
   EXPECT_EQ(jobs[0].exec.precision, "");
   EXPECT_EQ(jobs[0].exec.kernel_path, "auto");
   EXPECT_FALSE(jobs[0].has_seed);
@@ -1040,7 +1040,10 @@ TEST(BatchRunnerTest, RunsManifestToCompletion)
 
   const std::string csv = BatchRunner::ResultsCsv(results);
   EXPECT_NE(csv.find("name,model,exec,status,attempts"), std::string::npos);
-  EXPECT_NE(csv.find("h,heat,functional,ok,1,25"), std::string::npos);
+  // Job h sets no exec=, so its exec column reads the default engine.
+  EXPECT_NE(csv.find("h,heat,soa,ok,1,25"), std::string::npos);
+  EXPECT_NE(csv.find("rd,reaction_diffusion,functional:double:shards=2,ok"),
+            std::string::npos);
 }
 
 TEST(BatchRunnerTest, InterruptedBatchResumesToIdenticalState)
@@ -1113,6 +1116,57 @@ TEST(BatchRunnerTest, ResumeOverATornCheckpointStartsTheJobOver)
   const auto resumed = BatchRunner(manifest, options).RunAll();
   EXPECT_EQ(resumed[0].status, JobStatus::kOk);
   EXPECT_EQ(resumed[0].steps_executed, 50u);
+  EXPECT_EQ(resumed[0].checksum, ref[0].checksum);
+}
+
+TEST(BatchRunnerTest, ResumeOverCompensatingBitFlipsStartsTheJobOver)
+{
+  // Two bit flips that cancel in a byte sum (bit 4 set in one state
+  // byte, cleared in another) must not restore silently: the job
+  // starts over and lands on the uninterrupted checksum.
+  const auto manifest = ParseManifest(
+      "model=reaction_diffusion\nname=rd\nrows=16\ncols=16\nsteps=60\n");
+  BatchOptions ref_options;
+  ref_options.out_dir = ScratchDir("batch_flip_ref");
+  const auto ref = BatchRunner(manifest, ref_options).RunAll();
+  ASSERT_EQ(ref[0].status, JobStatus::kOk);
+
+  const std::string dir = ScratchDir("batch_flip");
+  BatchOptions options;
+  options.out_dir = dir;
+  options.max_steps_per_job = 20;
+  ASSERT_EQ(BatchRunner(manifest, options).RunAll()[0].status,
+            JobStatus::kInterrupted);
+  std::vector<char> ckpt = ReadBytes(dir + "/rd.ckpt");
+  // Past the header (magic, name length and name, geometry, steps,
+  // layer count and the first layer's length), before the 8-byte
+  // trailer.
+  ASSERT_GT(ckpt.size(), 8u);
+  std::size_t name_len = 0;
+  for (int i = 0; i < 4; ++i) {
+    const auto byte = static_cast<unsigned char>(ckpt[4 + i]);
+    name_len |= static_cast<std::size_t>(byte) << (8 * i);
+  }
+  const std::size_t first_value = 4 + 4 + name_len + 8 + 8 + 8 + 4 + 8;
+  std::size_t set = 0;
+  std::size_t clear = 0;
+  for (std::size_t i = first_value; i + 8 < ckpt.size(); ++i) {
+    std::size_t& slot = (ckpt[i] & 0x10) != 0 ? set : clear;
+    if (slot == 0) {
+      slot = i;
+    }
+  }
+  ASSERT_NE(set, 0u);
+  ASSERT_NE(clear, 0u);
+  ckpt[set] = static_cast<char>(ckpt[set] ^ 0x10);
+  ckpt[clear] = static_cast<char>(ckpt[clear] ^ 0x10);
+  WriteBytes(dir + "/rd.ckpt", ckpt);
+
+  options.resume = true;
+  options.max_steps_per_job = 0;
+  const auto resumed = BatchRunner(manifest, options).RunAll();
+  EXPECT_EQ(resumed[0].status, JobStatus::kOk);
+  EXPECT_EQ(resumed[0].steps_executed, 60u);
   EXPECT_EQ(resumed[0].checksum, ref[0].checksum);
 }
 

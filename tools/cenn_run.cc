@@ -9,8 +9,10 @@
  *
  * Execution is selected by the unified policy (--exec, built through
  * util/exec_policy.h + runtime/engine_factory.h):
- *   functional  cell-by-cell reference engine (double/fixed precision)
- *   soa         vectorized SoA kernels (double/fixed/float precision)
+ *   soa         vectorized SoA kernels (double/fixed/float precision;
+ *               the default, on the simd kernels)
+ *   functional  cell-by-cell reference engine (double/fixed precision;
+ *               the only engine for --heun)
  *   arch        cycle-level accelerator simulation (fixed + timing)
  * The band-shard count is the policy's shards= field.
  *
@@ -86,7 +88,8 @@ PrintUsage()
       "  --seed=N                     RNG seed for initial conditions\n"
       "  --dump-spec                  print the mapped network spec and "
       "exit\n"
-      "  --heun                       Heun integrator (functional only)\n"
+      "  --heun                       Heun integrator; needs "
+      "--exec=functional\n"
       "  --steady                     run until steady state\n"
       "  --tolerance=X                steady-state tolerance (1e-6)\n"
       "  --compare                    compare against the reference run\n"
@@ -253,9 +256,9 @@ RunMain(int argc, char** argv)
                        : "scenario '" + display_name + "'";
   if (heun) {
     if (exec.engine != "functional") {
-      CENN_FATAL("--heun applies to the functional engine only (the "
-                 "hardware and the SoA kernels integrate with explicit "
-                 "Euler)");
+      CENN_FATAL("--heun needs --exec=functional (the default soa engine, "
+                 "like the hardware, integrates with explicit Euler; got "
+                 "engine '", exec.engine, "')");
     }
     program.spec.integrator = Integrator::kHeun;
   }
