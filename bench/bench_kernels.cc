@@ -3,36 +3,29 @@
  * bench_kernels — throughput of the SoA stepping kernels against the
  * functional reference solver.
  *
- * Times the same solve on five backends: the functional engine
- * (MultilayerCenn walking the IR per cell), the SoA engine on its
- * scalar path (compiled plans, cell-by-cell), the SoA engine on its
- * blocked path (fused row kernels), the SoA engine on its simd path
- * (explicitly vectorized kernels, runtime-dispatched ISA — the
- * default, Q16.16 int32 lanes at fixed precision), the blocked path
- * band-sharded across worker threads, and the fused path: a
- * persistent ShardTeam stepping the simd kernels (the
- * --exec=soa:simd:shards=K configuration, workers resident across the
- * warm-up and timed regions). Rows are named by their --exec spelling
- * (soa:fixed:simd, ...). Reports steps/s, layer-cell updates/s
- * (Mlayer-cell/s: rows x cols x layers, unlike the grid-cell Mcell/s
- * of perfbench and cenn_run) and speedup over the functional
- * baseline, and verifies that every fixed/double variant ends in a
- * bit-identical final state (float runs are reported but not
- * compared — there is no float reference).
+ * Times the same solve on the functional engine (MultilayerCenn
+ * walking the IR per cell, the oracle), the SoA engine on one thread
+ * (explicitly vectorized kernels, runtime-dispatched ISA, Q16.16 int32
+ * lanes at fixed precision) and the fused path: a persistent
+ * ShardTeam stepping the SoA kernels (the --exec=soa:shards=K
+ * configuration, workers resident across the warm-up and timed
+ * regions). Rows are named by their --exec spelling (soa:fixed, ...).
+ * Reports steps/s, layer-cell updates/s (Mlayer-cell/s: rows x cols x
+ * layers, unlike the grid-cell Mcell/s of perfbench and cenn_run) and
+ * speedup over the functional baseline, and verifies that every
+ * variant ends in a state bit-identical to the functional one (float
+ * against MultilayerCenn<float>).
  *
- * --check turns the run into a regression gate: exit 1 if the blocked
- * kernels are slower than the scalar plan walk, if the simd kernels
- * are below 1.5x the blocked kernels on the double datapath (skipped
- * when the dispatcher picks the generic backend — scalar-width
- * "vectors" carry no speedup promise), if a persistent 4-shard simd
- * team is below 2.5x single-thread simd on a 256x256 grid (skipped
- * below 4 physical cores — SMT siblings share execution ports and
- * cannot honor that margin), if the packed SoA coefficient
- * lanes are below 1.15x over the 9-field AoS tuple stride on a
- * LUT-bound sweep, if any comparable variant diverges from the
+ * --check turns the run into a regression gate: exit 1 if a
+ * persistent 4-shard team is below 2.5x single-thread soa on a
+ * 256x256 double grid (skipped below 4 physical cores — SMT siblings
+ * share execution ports and cannot honor that margin), if the packed
+ * SoA coefficient lanes are below 1.15x over the 9-field AoS tuple
+ * stride on a LUT-bound sweep, if any variant diverges from the
  * functional state, or if the health-guard instrumentation (the
- * Fixed32 saturation-counter hook) costs more than 2% on the fixed
- * simd path. --quick shrinks the workload for CI smoke use.
+ * Fixed32 saturation-counter hook) or a live MetricsEmitter costs
+ * more than 2% on the default soa:fixed path. --quick shrinks the
+ * workload for CI smoke use.
  *
  * Examples:
  *   bench_kernels
@@ -46,7 +39,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -60,10 +52,10 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/network.h"
 #include "core/nonlinear.h"
 #include "core/solver.h"
 #include "health/health_guard.h"
-#include "kernels/soa_engine.h"
 #include "kernels/soa_simd.h"
 #include "models/benchmark_model.h"
 #include "obs/metrics_emitter.h"
@@ -78,15 +70,14 @@
 namespace cenn {
 namespace {
 
-/** Builds `engine` at `precision` on kernel path `path`. */
+/** Builds `engine` at `precision`. */
 std::unique_ptr<Engine>
 Build(const SolverProgram& program, const char* engine,
-      const std::string& precision, const char* path = "auto")
+      const std::string& precision)
 {
   ExecPolicy policy;
   policy.engine = engine;
   policy.precision = precision;
-  policy.kernel_path = path;
   return BuildEngine(program, policy);
 }
 
@@ -128,7 +119,6 @@ struct Variant {
   // Declared after `engine`: destroyed first, so a persistent
   // ShardTeam captured in the closure joins before the engine dies.
   std::function<void(Engine*, std::uint64_t)> run;
-  bool comparable = true;  ///< has the same numerics as the reference
 };
 
 /**
@@ -252,39 +242,25 @@ BenchMain(int argc, char** argv)
   };
 
   std::vector<Variant> variants;
-  // The float SoA engine has no functional twin; everything else is
-  // held to bit-identity with the reference.
-  const bool comparable = precision != "float";
-  // Rows are named by their --exec spelling.
-  const std::string soa = "soa:" + precision + ":";
-  if (comparable) {
-    variants.push_back({"functional:" + precision,
-                        Build(program, "functional", precision), serial});
-  }
-  for (const char* path : {"scalar", "blocked", "simd"}) {
-    variants.push_back({soa + path, Build(program, "soa", precision, path),
-                        serial, comparable});
-  }
+  // Every row is held to bit-identity with the functional oracle. The
+  // engine factory offers float on soa only, so the float oracle is
+  // built directly. Rows are named by their --exec spelling.
+  const std::string soa = "soa:" + precision;
+  variants.push_back({"functional:" + precision,
+                      precision == "float"
+                          ? std::make_unique<MultilayerCenn<float>>(
+                                program.spec)
+                          : Build(program, "functional", precision),
+                      serial});
+  variants.push_back({soa, Build(program, "soa", precision), serial});
   for (const int k : shard_counts) {
-    // A one-shot team per call: workers spawn and join every Run.
-    variants.push_back(
-        {soa + "blocked:shards=" + std::to_string(k),
-         Build(program, "soa", precision, "blocked"),
-         [k](Engine* engine, std::uint64_t n) {
-           TeamOptions options;
-           options.shards = k;
-           ShardTeam(engine, options).Run(n);
-         },
-         comparable});
-  }
-  for (const int k : shard_counts) {
-    // The fused path: persistent simd worker team, built lazily on
-    // first use and resident across the warm-up and timed regions —
-    // exactly what --exec=soa:simd:shards=K runs in a session.
+    // The fused path: persistent worker team, built lazily on first
+    // use and resident across the warm-up and timed regions — exactly
+    // what --exec=soa:shards=K runs in a session.
     auto team = std::make_shared<std::unique_ptr<ShardTeam>>();
     variants.push_back(
-        {soa + "simd:shards=" + std::to_string(k) + " (team)",
-         Build(program, "soa", precision, "simd"),
+        {soa + ":shards=" + std::to_string(k) + " (team)",
+         Build(program, "soa", precision),
          [k, team](Engine* engine, std::uint64_t n) {
            if (*team == nullptr) {
              TeamOptions options;
@@ -292,8 +268,7 @@ BenchMain(int argc, char** argv)
              *team = std::make_unique<ShardTeam>(engine, options);
            }
            (*team)->Run(n);
-         },
-         comparable});
+         }});
   }
 
   const double cells = static_cast<double>(mc.rows) *
@@ -306,8 +281,6 @@ BenchMain(int argc, char** argv)
   TextTable table({"backend", "seconds", "steps/s", "Mlayer-cell/s",
                    "speedup", "GB/s", "FLOP/B", "state"});
   double baseline_seconds = 0.0;
-  double scalar_seconds = 0.0;
-  double blocked_seconds = 0.0;
   std::uint64_t reference_checksum = 0;
   bool states_agree = true;
   // Best soa kernel by modeled bandwidth, for the roofline summary.
@@ -341,22 +314,14 @@ BenchMain(int argc, char** argv)
 
     if (&v == &variants.front()) {
       baseline_seconds = seconds;
-      reference_checksum = v.comparable ? StateChecksum(*v.engine) : 0;
+      reference_checksum = StateChecksum(*v.engine);
     }
-    if (v.name == soa + "scalar") {
-      scalar_seconds = seconds;
-    } else if (v.name == soa + "blocked") {
-      blocked_seconds = seconds;
-    } else if (v.name == soa + "simd") {
+    if (v.name == soa) {
       v.name += std::string(" [") + SimdIsaName() + "]";
     }
 
-    std::string state = "-";
-    if (v.comparable) {
-      const bool same = StateChecksum(*v.engine) == reference_checksum;
-      states_agree = states_agree && same;
-      state = same ? "exact" : "DIVERGED";
-    }
+    const bool same = StateChecksum(*v.engine) == reference_checksum;
+    states_agree = states_agree && same;
     const double steps_per_s =
         seconds > 0.0 ? static_cast<double>(steps) / seconds : 0.0;
     table.AddRow({v.name, TextTable::Num(seconds, "%.3f"),
@@ -366,7 +331,7 @@ BenchMain(int argc, char** argv)
                                                : 0.0, "%.2fx"),
                   bytes > 0.0 ? TextTable::Num(gbs, "%.2f") : "-",
                   bytes > 0.0 ? TextTable::Num(flop_per_byte, "%.2f") : "-",
-                  state});
+                  same ? "exact" : "DIVERGED"});
   }
 
   table.Print();
@@ -389,96 +354,18 @@ BenchMain(int argc, char** argv)
   }
 
   bool ok = states_agree;
-  if (check && blocked_seconds > scalar_seconds) {
-    std::printf("check FAILED: blocked kernels (%.3fs) slower than the "
-                "scalar path (%.3fs)\n", blocked_seconds, scalar_seconds);
-    ok = false;
-  } else if (check) {
-    std::printf("check passed: blocked %.2fx vs scalar\n",
-                scalar_seconds / blocked_seconds);
-  }
 
-  // Simd-speedup gate: the vector kernels must hold a >=1.5x margin
-  // over the blocked row kernels on the double datapath (the widest
-  // vectors and the precision the exactness contract is written for),
-  // measured on this run's model/grid with --precision forced to
-  // double. Like the guard gate below, blocked and simd chunks are
-  // interleaved ABBA and the per-round ratios medianed per ordering,
-  // then combined geometrically, so clock drift and cache warm-up
-  // cancel. The same run doubles as an exactness check: with two-
-  // rounding MulAdd kernels the simd state must match blocked
-  // bit-for-bit. Skipped on the generic backend — its scalar-width
-  // "vectors" exist for portability, not speed.
-  if (check && std::strcmp(SimdIsaName(), "generic") != 0) {
-    const auto blocked_engine = Build(program, "soa", "double", "blocked");
-    const auto simd_engine = Build(program, "soa", "double", "simd");
-    const auto timed = [](Engine* engine, std::uint64_t n) {
-      const auto start = std::chrono::steady_clock::now();
-      engine->Run(n);
-      return std::chrono::duration<double>(
-                 std::chrono::steady_clock::now() - start)
-          .count();
-    };
-    // Calibrate a ~25ms blocked chunk so each round is long enough
-    // for the steady clock yet short enough that 24 rounds stay
-    // CI-friendly. The simd engine steps the same probe count so the
-    // final-state comparison below sees both engines at the same
-    // simulation time.
-    const double probe = timed(blocked_engine.get(), steps);
-    timed(simd_engine.get(), steps);
-    const std::uint64_t chunk_steps = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               0.025 / std::max(probe / static_cast<double>(steps),
-                                1e-9)));
-    const auto median = [](std::vector<double>* v) {
-      std::sort(v->begin(), v->end());
-      return (*v)[v->size() / 2];
-    };
-    std::vector<double> simd_second;
-    std::vector<double> simd_first;
-    for (int round = 0; round < 24; ++round) {
-      double blocked_s;
-      double simd_s;
-      if (round % 2 == 0) {
-        blocked_s = timed(blocked_engine.get(), chunk_steps);
-        simd_s = timed(simd_engine.get(), chunk_steps);
-      } else {
-        simd_s = timed(simd_engine.get(), chunk_steps);
-        blocked_s = timed(blocked_engine.get(), chunk_steps);
-      }
-      if (round < 4) {
-        continue;  // discard warm-up rounds (caches, cpu frequency)
-      }
-      (round % 2 == 0 ? simd_second : simd_first)
-          .push_back(blocked_s / simd_s);
-    }
-    const double speedup =
-        std::sqrt(median(&simd_second) * median(&simd_first));
-    std::printf("simd kernels (double, %s): %.2fx vs blocked\n",
-                SimdIsaName(), speedup);
-    if (speedup < 1.5) {
-      std::printf("check FAILED: simd kernels %.2fx vs blocked, below "
-                  "the 1.5x gate\n", speedup);
-      ok = false;
-    }
-    // Both engines stepped the same total; the states must agree.
-    if (StateChecksum(*simd_engine) != StateChecksum(*blocked_engine)) {
-      std::printf("check FAILED: simd double state diverged from "
-                  "blocked\n");
-      ok = false;
-    }
-  }
-
-  // Fused-scaling gate: a persistent 4-shard simd team must hold a
-  // >=2.5x margin over single-thread simd on a 256x256 double grid —
-  // the regime the tentpole fused path exists for. Threads only buy
-  // that margin on real parallel hardware, so the gate requires >= 4
-  // physical cores (unique (physical id, core id) pairs; SMT siblings
-  // share execution ports) and reports a skip otherwise instead of
-  // failing on laptops and small CI runners. Same ABBA-interleaved
-  // order-split-median protocol as the gates above, and the same
-  // exactness rider: after identical step counts the fused state must
-  // match the serial one bit-for-bit.
+  // Fused-scaling gate: a persistent 4-shard team must hold a >=2.5x
+  // margin over single-thread soa on a 256x256 double grid — the
+  // regime the fused path exists for. Threads only buy that margin on
+  // real parallel hardware, so the gate requires >= 4 physical cores
+  // (unique (physical id, core id) pairs; SMT siblings share execution
+  // ports) and reports a skip otherwise instead of failing on laptops
+  // and small CI runners. Serial and fused chunks are interleaved ABBA
+  // and the per-round ratios medianed per ordering, then combined
+  // geometrically, so clock drift and cache warm-up cancel. Exactness
+  // rider: after identical step counts the fused state must match the
+  // serial one bit-for-bit.
   if (check) {
     const int cores = CountPhysicalCores();
     if (cores < 4) {
@@ -490,9 +377,8 @@ BenchMain(int argc, char** argv)
       gate_mc.cols = std::max<std::size_t>(mc.cols, 256);
       const SolverProgram gate_program =
           MakeProgram(*MakeModel(model_name, gate_mc));
-      const auto serial_engine =
-          Build(gate_program, "soa", "double", "simd");
-      const auto fused_engine = Build(gate_program, "soa", "double", "simd");
+      const auto serial_engine = Build(gate_program, "soa", "double");
+      const auto fused_engine = Build(gate_program, "soa", "double");
       TeamOptions team_options;
       team_options.shards = 4;
       ShardTeam team(fused_engine.get(), team_options);
@@ -543,23 +429,23 @@ BenchMain(int argc, char** argv)
       }
       const double speedup =
           std::sqrt(median(&fused_second) * median(&fused_first));
-      std::printf("fused simd team x4 (%zux%zu double, %d cores): "
-                  "%.2fx vs single-thread simd\n", gate_mc.rows,
+      std::printf("fused team x4 (%zux%zu double, %d cores): "
+                  "%.2fx vs single-thread soa\n", gate_mc.rows,
                   gate_mc.cols, cores, speedup);
       if (speedup < 2.5) {
         std::printf("check FAILED: fused team %.2fx vs single-thread "
-                    "simd, below the 2.5x gate\n", speedup);
+                    "soa, below the 2.5x gate\n", speedup);
         ok = false;
       }
       if (StateChecksum(*fused_engine) != StateChecksum(*serial_engine)) {
         std::printf("check FAILED: fused team state diverged from "
-                    "single-thread simd\n");
+                    "single-thread soa\n");
         ok = false;
       }
     }
   }
 
-  // Packed-layout gate: the simd kernels gather LUT coefficients from
+  // Packed-layout gate: the SoA kernels gather LUT coefficients from
   // the packed SoA lanes (l_p/a1/a2/a3, expansion point recomputed
   // from the index) instead of striding across the 9-field AoS
   // TaylorTuple array. On a LUT-bound sweep — a table far beyond the
@@ -689,8 +575,8 @@ BenchMain(int argc, char** argv)
     }
   }
 
-  // Guard-overhead gate: time the fixed simd path — the default, where
-  // every vector op checks its lanes for clamps — with and without an
+  // Guard-overhead gate: time soa:fixed — the default, where every
+  // vector op checks its lanes for clamps — with and without an
   // installed Fixed32 saturation counter. The counter is only touched
   // on the rare clamping branch, so even counter-ON must stay within
   // 2% of counter-OFF — which bounds the guards-off cost of the
@@ -701,7 +587,7 @@ BenchMain(int argc, char** argv)
   // plain smoke run.
   if (check) {
     HealthGuard guard;
-    const auto engine = Build(program, "soa", "fixed", "simd");
+    const auto engine = Build(program, "soa", "fixed");
     const auto timed = [&](HealthGuard* sink, std::uint64_t n) {
       ScopedSatCounter sat(sink);
       const auto start = std::chrono::steady_clock::now();
@@ -741,7 +627,7 @@ BenchMain(int argc, char** argv)
     }
     const double overhead =
         std::sqrt(median(&on_second) * median(&on_first)) - 1.0;
-    std::printf("guard instrumentation overhead (fixed simd, counter "
+    std::printf("guard instrumentation overhead (soa:fixed, counter "
                 "installed): %+.2f%%, %llu sat events\n", overhead * 100.0,
                 static_cast<unsigned long long>(guard.SatEvents()));
     if (overhead > 0.02) {
@@ -753,7 +639,7 @@ BenchMain(int argc, char** argv)
 
   // Metrics-overhead gate: a live MetricsEmitter sampling the bound
   // stats every 25 ms (10x the 250 ms default — an aggressive live
-  // dashboard) must cost the fixed blocked path less than 2%. The
+  // dashboard) must cost the default soa:fixed path less than 2%. The
   // compute path is identical either way — the kernels' counter
   // updates always run — so this measures the real interference:
   // snapshotting + flushing JSONL on the sampler thread (pure CPU
@@ -762,7 +648,7 @@ BenchMain(int argc, char** argv)
   // land inside every timed region; same ABBA-interleaved,
   // order-split-median protocol as the gates above.
   if (check) {
-    const auto engine = Build(program, "soa", "fixed", "blocked");
+    const auto engine = Build(program, "soa", "fixed");
     StatRegistry registry;
     engine->BindStats(&registry, "");
     const std::string sink = "bench_kernels_overhead.metrics.jsonl";
@@ -808,7 +694,7 @@ BenchMain(int argc, char** argv)
     std::remove(sink.c_str());
     const double overhead =
         std::sqrt(median(&on_second) * median(&on_first)) - 1.0;
-    std::printf("live-metrics overhead (fixed blocked, 25 ms sampling): "
+    std::printf("live-metrics overhead (soa:fixed, 25 ms sampling): "
                 "%+.2f%%\n", overhead * 100.0);
     if (overhead > 0.02) {
       std::printf("check FAILED: live-metrics overhead %.2f%% exceeds "

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "obs/profile.h"
 #include "util/logging.h"
 
 namespace cenn {
@@ -203,6 +204,7 @@ void
 MultilayerCenn<T>::RefreshOutputsRows(std::size_t row_begin,
                                       std::size_t row_end)
 {
+  CENN_PROF("functional.refresh");
   const std::size_t n_layers = spec_.layers.size();
   const std::vector<Grid2D<T>>& states = SrcState();
   for (std::size_t l = 0; l < n_layers; ++l) {
@@ -230,6 +232,7 @@ void
 MultilayerCenn<T>::ComputeEulerRows(std::size_t row_begin,
                                     std::size_t row_end)
 {
+  CENN_PROF("functional.step");
   const std::size_t n_layers = spec_.layers.size();
   for (std::size_t l = 0; l < n_layers; ++l) {
     for (std::size_t r = row_begin; r < row_end; ++r) {
@@ -305,6 +308,7 @@ template <typename T>
 void
 MultilayerCenn<T>::StepHeun()
 {
+  CENN_PROF("functional.heun");
   const std::size_t n_layers = spec_.layers.size();
   const T half = NumTraits<T>::FromDouble(0.5);
 
@@ -382,5 +386,6 @@ MultilayerCenn<T>::Run(std::uint64_t n)
 
 template class MultilayerCenn<double>;
 template class MultilayerCenn<Fixed32>;
+template class MultilayerCenn<float>;
 
 }  // namespace cenn

@@ -12,6 +12,10 @@
  * accelerator's 32-bit fixed-point datapath. Nonlinear template weights
  * are resolved through a FunctionEvaluator, so the same engine runs with
  * ideal math or with the LUT + Taylor approximation path.
+ *
+ * It is the cell-by-cell oracle the SoA kernels (kernels/soa_engine.h)
+ * are held to at every precision; MultilayerCenn<float> exists for
+ * that comparison only (the engine factory offers float on soa alone).
  */
 
 #include <cstdint>
@@ -26,7 +30,8 @@
 
 namespace cenn {
 
-/** Functional CeNN simulator over scalar type T (double or Fixed32). */
+/** Functional CeNN simulator over scalar type T (double, Fixed32 or
+ *  float). */
 template <typename T>
 class MultilayerCenn : public Engine
 {
@@ -201,6 +206,7 @@ class MultilayerCenn : public Engine
 
 extern template class MultilayerCenn<double>;
 extern template class MultilayerCenn<Fixed32>;
+extern template class MultilayerCenn<float>;
 
 }  // namespace cenn
 

@@ -4,8 +4,9 @@
 /**
  * @file
  * Compiled stepping plans: the NetworkSpec's template structure
- * flattened into per-layer tap lists the SoA kernels can execute
- * without walking IR objects in the hot loop.
+ * flattened into per-layer tap lists the SoA engine's vector row
+ * kernels (soa_simd_impl.h) execute without walking IR objects in the
+ * hot loop.
  *
  * One tap = one (source plane, dr, dc, weight) contribution; taps are
  * emitted in exactly the order MultilayerCenn::CellDerivative visits

@@ -8,29 +8,23 @@
  *
  * State, input and output fields live in structure-of-arrays storage
  * (SoaField: contiguous cache-line-aligned rows per layer) and one
- * Euler step executes compiled tap plans (kernel_plan.h) as fused row
- * kernels: per destination row, the accumulator is initialized with
- * z (minus self-decay), every tap streams one source row through a
- * tap-outer / column-inner loop, offsets are added, and the Euler
+ * Euler step executes compiled tap plans (kernel_plan.h) through the
+ * explicitly vectorized row kernels of kernels/soa_simd.h, dispatched
+ * once per process to the best vector ISA the CPU offers (generic
+ * lanes where none is wider): per destination row, the accumulator is
+ * initialized with z (minus self-decay), every tap streams one source
+ * row lane-parallel over columns, offsets are added, and the Euler
  * update writes the next-state row — one cache-resident pass per row
- * band with no IR walking, no virtual dispatch and no per-cell
- * branching in the interior.
+ * band with no IR walking and no virtual dispatch.
  *
  * Bit-exactness: per cell, the accumulator receives exactly the
  * operation sequence of MultilayerCenn::CellDerivative (same values,
- * same order — only the loop nesting differs), so SoaEngine<T> is
- * bit-identical to MultilayerCenn<T> for every model, precision,
- * boundary kind and band partition. tests/test_kernels.cc sweeps
- * this. The scalar KernelPath executes the same plans cell-by-cell —
- * the in-tree cross-check for the blocked loops.
- *
- * The simd KernelPath (kernels/soa_simd.h) runs the same plans
- * through explicitly vectorized kernels with runtime CPU dispatch:
- * bit-identical for Fixed32 (saturating Q16.16 int32 lanes, exact
- * saturation and LUT counts) and ULP-bounded (<= 4, per-tap FMA
- * allowed; currently bit-exact) for float/double — see
- * docs/kernels.md and the differential fuzz sweep in
- * tests/test_kernels.cc.
+ * same order — only the loop nesting differs). Fixed32 runs on
+ * saturating Q16.16 int32 lanes and is bit-identical to
+ * MultilayerCenn<Fixed32>, saturation and LUT counts included;
+ * float/double are held to <= 4 ULP (per-tap FMA allowed) and are
+ * bit-identical today. The functional engine is the oracle: see
+ * docs/kernels.md and the differential sweeps in tests/test_kernels.cc.
  *
  * Explicit Euler only (construction is fatal on a Heun spec): the
  * fused pass implements the hardware's one-convolution-per-step
@@ -48,7 +42,6 @@
 #include "core/evaluator.h"
 #include "core/network_spec.h"
 #include "core/solver.h"
-#include "kernels/kernel_path.h"
 #include "kernels/kernel_plan.h"
 #include "kernels/soa_field.h"
 #include "kernels/soa_simd.h"
@@ -66,14 +59,10 @@ class SoaEngine final : public Engine
      * @param spec      the network program; copied. Fatal on Heun.
      * @param evaluator strategy for nonlinear functions; when null a
      *                  DirectEvaluator (ideal math) is used.
-     * @param path      stepping implementation; kAuto resolves to the
-     *                  simd kernels unless CENN_KERNEL_PATH says
-     *                  otherwise.
      */
     explicit SoaEngine(const NetworkSpec& spec,
                        std::shared_ptr<FunctionEvaluator<T>> evaluator =
-                           nullptr,
-                       KernelPath path = KernelPath::kAuto);
+                           nullptr);
 
     /** @name Engine interface */
     ///@{
@@ -108,43 +97,9 @@ class SoaEngine final : public Engine
         override;
     ///@}
 
-    /** The resolved stepping implementation (never kAuto). */
-    KernelPath Path() const { return path_; }
-
   private:
     /** Validates a band for the current geometry. */
     void CheckBand(std::size_t row_begin, std::size_t row_end) const;
-
-    /** The plane a tap reads from. */
-    const SoaField<T>& FieldFor(TapSource source) const;
-
-    /** Grid2D::Neighbor semantics over a SoA plane. */
-    T PlaneNeighbor(const SoaField<T>& field, int layer, std::ptrdiff_t r,
-                    std::ptrdiff_t c) const;
-
-    /** Blocked path: fused row kernels for rows [row_begin, row_end). */
-    void ComputeRowsBlocked(std::size_t row_begin, std::size_t row_end);
-
-    /** Scalar path: cell-by-cell plan walk for the same rows. */
-    void ComputeRowsScalar(std::size_t row_begin, std::size_t row_end);
-
-    /** Simd path: dispatched vector kernels for the same rows. */
-    void ComputeRowsSimd(std::size_t row_begin, std::size_t row_end);
-
-    /** One tap accumulated into `acc` for destination row r. */
-    void ApplyTapRow(const CompiledTap<T>& tap, std::size_t r, T* acc);
-
-    /** One offset term accumulated into `acc` for destination row r. */
-    void ApplyOffsetRow(const CompiledOffset<T>& off, std::size_t r, T* acc);
-
-    /** Full CellDerivative replica for one cell (scalar path, edges). */
-    T CellDerivativeScalar(const LayerPlan<T>& plan, int layer, std::size_t r,
-                           std::size_t c) const;
-
-    /** FactorProduct replica: prod of bound factors at one cell. */
-    T FactorProductAt(const std::vector<CompiledFactor<T>>& factors,
-                      std::size_t r, std::size_t c, std::ptrdiff_t sr,
-                      std::ptrdiff_t sc) const;
 
     /** Post-publish threshold reset rules (mirrors ApplyResets). */
     void ApplyResets();
@@ -153,8 +108,8 @@ class SoaEngine final : public Engine
      * Precomputes the per-row traffic model from the compiled plans:
      * how many bytes one interior destination row streams (reads:
      * self + tap source rows + factor control rows; writes: the
-     * next-state row), how many vector tuple gathers the simd LUT
-     * path issues, and an analytic arithmetic-op count. Band stepping
+     * next-state row), how many vector tuple gathers the LUT
+     * factors issue, and an analytic arithmetic-op count. Band stepping
      * then bumps the live counters with rows * per-row cost — O(1)
      * relaxed atomic adds per band, nothing per cell. Edge rows cost
      * slightly different byte counts than this interior model; the
@@ -167,6 +122,14 @@ class SoaEngine final : public Engine
     std::vector<LayerPlan<T>> plans_;
     bool prepared_ = false;
 
+    /**
+     * One zero-filled block behind the fields: state and next state
+     * always, input and output only when a coupling reads them. One
+     * allocation per engine, rather than one per field, lets engines
+     * built and destroyed in turn (batch jobs, benchmark segments)
+     * reuse the same heap block instead of faulting fresh pages.
+     */
+    std::vector<T> storage_;
     SoaField<T> state_;
     SoaField<T> next_state_;
     SoaField<T> input_;
@@ -177,8 +140,7 @@ class SoaEngine final : public Engine
     T one_{};
     T neg_one_{};
     T bval_{};  ///< Dirichlet boundary value
-    KernelPath path_ = KernelPath::kBlocked;
-    /** Dispatched vector kernel; set on the simd path only. */
+    /** Dispatched vector kernel for this precision. */
     SimdStepFn<T> simd_step_ = nullptr;
     std::uint64_t steps_ = 0;
 
@@ -207,17 +169,14 @@ extern template class SoaEngine<Fixed32>;
  * sibling of MakeFunctionalEngine (core/solver.h).
  */
 std::unique_ptr<Engine> MakeSoaEngine(const NetworkSpec& spec,
-                                      SolverOptions options = {},
-                                      KernelPath path = KernelPath::kAuto);
+                                      SolverOptions options = {});
 
 /**
  * Factory: the float (fp32) SoA engine — the precision the paper's
- * GPU baseline runs at. Ideal math unless an evaluator is given.
+ * GPU baseline runs at, with ideal math (there is no float LUT
+ * evaluator).
  */
-std::unique_ptr<Engine> MakeSoaEngineFloat(
-    const NetworkSpec& spec,
-    std::shared_ptr<FunctionEvaluator<float>> evaluator = nullptr,
-    KernelPath path = KernelPath::kAuto);
+std::unique_ptr<Engine> MakeSoaEngineFloat(const NetworkSpec& spec);
 
 }  // namespace cenn
 

@@ -5,11 +5,11 @@
  * @file
  * Structure-of-arrays storage for multilayer CeNN fields.
  *
- * A SoaField holds all layers of one field (state, input, output) in
- * a single contiguous allocation: layer-major planes of row-major
- * rows, with each row padded to a 64-byte multiple so consecutive
- * rows start cache-line aligned and the stepping kernels can walk a
- * row with unit stride. Padding lanes are never read by the kernels
+ * A SoaField views all layers of one field (state, input, output) in
+ * one contiguous span of storage its owner allocates: layer-major
+ * planes of row-major rows, with each row padded to a 64-byte multiple
+ * so consecutive rows start cache-line aligned and the stepping
+ * kernels can walk a row with unit stride. Padding lanes are never read by the kernels
  * (column mapping stays inside [0, cols)), so their contents are
  * irrelevant.
  */
@@ -36,15 +36,24 @@ class SoaField
     /** Empty field. */
     SoaField() = default;
 
-    /** layers x rows x cols field, zero-filled. */
-    SoaField(int layers, std::size_t rows, std::size_t cols)
+    /** Elements a layers x rows x cols field spans, padding included. */
+    static std::size_t
+    Elements(int layers, std::size_t rows, std::size_t cols)
+    {
+        return static_cast<std::size_t>(layers) * rows * PaddedCols(cols);
+    }
+
+    /**
+     * layers x rows x cols field over `data`, which holds Elements()
+     * values and outlives the field (the owner keeps it alive).
+     */
+    SoaField(int layers, std::size_t rows, std::size_t cols, T* data)
         : layers_(layers),
           rows_(rows),
           cols_(cols),
-          stride_((cols + kLineElems - 1) / kLineElems * kLineElems),
+          stride_(PaddedCols(cols)),
           plane_(rows * stride_),
-          data_(static_cast<std::size_t>(layers) * plane_,
-                NumTraits<T>::Zero())
+          data_(data)
     {
         CENN_ASSERT(layers >= 0, "SoaField: negative layer count");
     }
@@ -60,13 +69,13 @@ class SoaField
     T*
     Row(int layer, std::size_t r)
     {
-        return data_.data() + static_cast<std::size_t>(layer) * plane_ +
+        return data_ + static_cast<std::size_t>(layer) * plane_ +
                r * stride_;
     }
     const T*
     Row(int layer, std::size_t r) const
     {
-        return data_.data() + static_cast<std::size_t>(layer) * plane_ +
+        return data_ + static_cast<std::size_t>(layer) * plane_ +
                r * stride_;
     }
 
@@ -87,7 +96,7 @@ class SoaField
         CENN_ASSERT(layers_ == other.layers_ && rows_ == other.rows_ &&
                         cols_ == other.cols_,
                     "SoaField::Swap: geometry mismatch");
-        data_.swap(other.data_);
+        std::swap(data_, other.data_);
     }
 
     /** One layer's cells as doubles, row-major, padding stripped. */
@@ -121,12 +130,19 @@ class SoaField
     }
 
   private:
+    /** Columns rounded up to whole cache lines. */
+    static std::size_t
+    PaddedCols(std::size_t cols)
+    {
+        return (cols + kLineElems - 1) / kLineElems * kLineElems;
+    }
+
     int layers_ = 0;
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
     std::size_t stride_ = 0;
     std::size_t plane_ = 0;
-    std::vector<T> data_;
+    T* data_ = nullptr;
 };
 
 }  // namespace cenn

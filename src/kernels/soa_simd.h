@@ -3,9 +3,8 @@
 
 /**
  * @file
- * The simd KernelPath: explicitly vectorized row-band stepping
- * kernels over the compiled tap plans, with runtime CPU-feature
- * dispatch.
+ * The SoA engine's row-band stepping kernels: explicitly vectorized
+ * over the compiled tap plans, with runtime CPU-feature dispatch.
  *
  * The kernels themselves live in soa_simd_impl.h and are compiled
  * once per ISA into separate translation units (each in its own
@@ -22,8 +21,8 @@
  *
  * Every precision has vector kernels: double and float lanes, and
  * Q16.16 int32 lanes for Fixed32 (saturating ops, exact saturation
- * counts and packed Q16.16 LUT gathers — bit-identical to the scalar
- * path, see docs/kernels.md).
+ * counts and packed Q16.16 LUT gathers — bit-identical to the
+ * functional engine, see docs/kernels.md).
  */
 
 #include <cstddef>

@@ -1,7 +1,7 @@
 /**
  * @file
- * ISA-generic body of the simd KernelPath, compiled once per vector
- * ISA. Before including this header a translation unit must define:
+ * ISA-generic body of the SoA engine's row kernels, compiled once per
+ * vector ISA. Before including this header a translation unit must define:
  *
  *   CENN_SIMD_NS      — the namespace for this ISA's entry points
  *                       (e.g. simd_avx2), matching soa_simd.h
@@ -11,17 +11,17 @@
  * and must be compiled with -ffp-contract=off (set in the kernels
  * CMakeLists): everything here — vector ops, scalar edge cells,
  * per-lane fallbacks — must keep separate multiply/add roundings so
- * the simd path stays bit-identical to the scalar/blocked kernels
- * (the contract in docs/kernels.md allows per-tap FMA, but the
- * current kernels intentionally do not use it).
+ * the kernels stay bit-identical to the functional engine
+ * (MultilayerCenn; the contract in docs/kernels.md allows per-tap
+ * FMA, but the current kernels intentionally do not use it).
  *
  * Fixed32 runs the same body over VecQ (Q16.16 lanes with Fixed32's
  * saturating ops and exact saturation counting, defined below);
  * integer ops do not round, so that path is bit-identical by
  * construction, saturation counts and LUT counters included.
  *
- * Structure per destination row (identical operation order to
- * SoaEngine::ComputeRowsBlocked, lane-parallel over columns):
+ * Structure per destination row (identical per-cell operation order
+ * to MultilayerCenn::CellDerivative, lane-parallel over columns):
  *   1. accumulator init with z (minus self-decay);
  *   2. per tap: scalar boundary cells outside the in-range column
  *      window [lo, hi), vector strips with a lane-masked tail inside
@@ -59,7 +59,7 @@ static_assert(VecF::kLanes == 2 * VecD::kLanes,
 static_assert(sizeof(Fixed32) == sizeof(std::int32_t),
               "Fixed32 fields are read as raw int32 words");
 
-/** Factor-array bound, mirroring soa_engine.cc. */
+/** Factor-array bound for the stack-resident control row pointers. */
 constexpr std::size_t kMaxFactors = 8;
 
 /** Bit mask of the first n lanes. */
@@ -210,7 +210,8 @@ FieldForV(const SimdStepView<T>& v, TapSource source)
   return *v.state;
 }
 
-/** SoaEngine::PlaneNeighbor replica for the scalar boundary cells. */
+/** Grid2D::Neighbor semantics over a SoA plane, for the scalar
+ *  boundary cells. */
 template <typename T>
 T
 PlaneNeighborS(const SimdStepView<T>& v, const SoaField<T>& field, int layer,
@@ -235,7 +236,8 @@ PlaneNeighborS(const SimdStepView<T>& v, const SoaField<T>& field, int layer,
   }
 }
 
-/** SoaEngine::FactorProductAt replica for the scalar boundary cells. */
+/** MultilayerCenn::FactorProduct replica for the scalar boundary
+ *  cells. */
 template <typename T>
 T
 FactorProductAtS(const SimdStepView<T>& v,
@@ -452,7 +454,8 @@ EvalFactorVec(const CompiledFactor<Fixed32>& f, VecQ ctrl, int n)
   return {VecQ::Load(ys).v, ctrl.count};
 }
 
-/** SoaEngine::ApplyTapRow with vector strips over [lo, hi). */
+/** One tap accumulated into `acc` for destination row r: scalar
+ *  boundary cells outside [lo, hi), vector strips inside it. */
 template <typename T>
 void
 ApplyTapRowV(const SimdStepView<T>& v, const CompiledTap<T>& tap,
@@ -466,8 +469,9 @@ ApplyTapRowV(const SimdStepView<T>& v, const CompiledTap<T>& tap,
   const bool row_in =
       sr >= 0 && sr < static_cast<std::ptrdiff_t>(v.spec->rows);
 
-  // In-range column window and scalar boundary cells: identical to
-  // the blocked path (soa_engine.cc).
+  // Columns [lo, hi) have their source column in range; the rest are
+  // boundary cells handled per cell. A Dirichlet out-of-range row
+  // makes every column a boundary cell.
   std::ptrdiff_t lo = std::max<std::ptrdiff_t>(0, -dc);
   std::ptrdiff_t hi = std::min<std::ptrdiff_t>(cols, cols - dc);
   if (lo > cols) {
@@ -554,7 +558,8 @@ ApplyTapRowV(const SimdStepView<T>& v, const CompiledTap<T>& tap,
   }
 }
 
-/** SoaEngine::ApplyOffsetRow with vector strips. */
+/** One offset term accumulated into `acc` for destination row r,
+ *  with vector strips. */
 template <typename T>
 void
 ApplyOffsetRowV(const SimdStepView<T>& v, const CompiledOffset<T>& off,

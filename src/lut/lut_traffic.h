@@ -19,7 +19,7 @@
  * and drained into an engine-attached LutTrafficSink when the scope
  * ends. The SIMD gathered-LUT kernels bulk-add the same per-lane
  * counts (see soa_simd_impl.h), which keeps `lut.*` counters
- * bit-identical across the scalar, blocked and simd kernel paths.
+ * bit-identical between the SoA kernels and the functional engine.
  * With no tally installed the evaluators skip all accounting.
  */
 

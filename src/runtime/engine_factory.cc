@@ -4,7 +4,6 @@
 
 #include "arch/simulator.h"
 #include "core/solver.h"
-#include "kernels/kernel_path.h"
 #include "kernels/soa_engine.h"
 #include "lut/lut_bank.h"
 #include "lut/lut_evaluator.h"
@@ -46,8 +45,6 @@ std::unique_ptr<Engine>
 BuildEngine(const SolverProgram& program, const ExecPolicy& policy)
 {
   const std::string precision = ValidPrecision(policy);
-  KernelPath path = KernelPath::kAuto;
-  ParseKernelPath(policy.kernel_path.c_str(), &path);
 
   if (policy.engine == "arch") {
     ArchConfig arch;
@@ -62,7 +59,7 @@ BuildEngine(const SolverProgram& program, const ExecPolicy& policy)
   }
 
   if (precision == "float") {
-    return MakeSoaEngineFloat(program.spec, nullptr, path);
+    return MakeSoaEngineFloat(program.spec);
   }
 
   SolverOptions options;
@@ -73,7 +70,7 @@ BuildEngine(const SolverProgram& program, const ExecPolicy& policy)
     options.fixed_evaluator = MakeLutFixedEvaluator(program);
   }
   if (policy.engine == "soa") {
-    return MakeSoaEngine(program.spec, std::move(options), path);
+    return MakeSoaEngine(program.spec, std::move(options));
   }
   return MakeFunctionalEngine(program.spec, std::move(options));
 }

@@ -15,7 +15,8 @@
  * Engine names:
  *   functional  reference MultilayerCenn (double or fixed precision)
  *   soa         vectorized SoA kernels (double, fixed or float)
- *   arch        cycle-level accelerator simulator
+ *   arch        cycle-level accelerator simulator (fixed only; the
+ *               one engine with a memory system)
  * An empty precision means fixed, the accelerator's native format.
  */
 

@@ -63,8 +63,8 @@ struct JobSpec {
   std::uint64_t steps = 0;
 
   /**
-   * How the job executes: engine, precision, memory, kernel path,
-   * shards, pinning. Set via `exec=...` (util/exec_policy.h grammar),
+   * How the job executes: engine, precision, memory, shards,
+   * pinning. Set via `exec=...` (util/exec_policy.h grammar),
    * which merges into the frontend's default policy.
    */
   ExecPolicy exec;

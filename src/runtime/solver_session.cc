@@ -140,9 +140,7 @@ SolverSession::ReachedTarget() const
 void
 SolverSession::RunSlice(std::uint64_t n)
 {
-  // Saturation events on *this* thread land in the attached guard;
-  // the team installs its own counter on each band worker.
-  ScopedSatCounter sat(engine_->AttachedHealthGuard());
+  // The team counts saturation events on whichever threads step.
   team_->Run(n);
   steps_executed_ += n;
   steps_since_checkpoint_ += n;

@@ -306,6 +306,9 @@ ShardTeam::Run(std::uint64_t steps)
 void
 ShardTeam::RunSerial(std::uint64_t steps)
 {
+  // The one-shard team steps on the calling thread: install the same
+  // thread-local saturation counter as every band worker does.
+  ScopedSatCounter sat(engine_->AttachedHealthGuard());
   if (timings_ != nullptr || trace_ != nullptr) {
     RunSerialObserved(*engine_, steps, timings_, trace_);
   } else {

@@ -32,6 +32,11 @@
  * neither keeps the worker loop free of clock reads. The serial
  * fallback attributes its phases to shard 0.
  *
+ * Counting: whichever thread steps — a band worker, or the caller for
+ * a one-shard team — installs the thread-local Fixed32 saturation
+ * counter and LUT tally that drain into the engine's attached
+ * HealthGuard and LutTrafficSink, so callers install neither.
+ *
  * Thread safety: Run() is externally synchronized (one driver thread
  * at a time — the SolverSession pattern); Workers()/Dispatches() may
  * be read from any thread.

@@ -42,7 +42,7 @@ JobRegistry::Create(const std::string& tenant, JobSpec spec)
 {
   std::lock_guard<std::mutex> lock(mu_);
   auto job = std::make_unique<ServeJob>();
-  job->id = "j" + std::to_string(next_id_);
+  job->id = std::string("j").append(std::to_string(next_id_));
   job->index = next_id_;
   ++next_id_;
   job->tenant = tenant;

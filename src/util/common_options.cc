@@ -93,15 +93,13 @@ CommonOptionsHelp(unsigned groups)
         "  --exec=POLICY                execution policy: colon-separated\n"
         "                               engine (soa|functional|arch;\n"
         "                               default soa), precision\n"
-        "                               (double|fixed|float), memory\n"
-        "                               (ddr3|hmc-int|hmc-ext) and kernel\n"
-        "                               (auto=simd|scalar|blocked|simd)\n"
+        "                               (double|fixed|float) and memory\n"
+        "                               (ddr3|hmc-int|hmc-ext; arch only)\n"
         "                               tokens plus shards=N and pin=\n"
         "                               none|cores|numa, e.g.\n"
-        "                               --exec=soa:simd:shards=8:pin=numa\n"
-        "                               (CENN_EXEC and CENN_KERNEL_PATH\n"
-        "                               override; simd ISA via\n"
-        "                               CENN_SIMD_ISA; docs/runtime.md)\n";
+        "                               --exec=soa:double:shards=8:pin=numa\n"
+        "                               (CENN_EXEC overrides; vector ISA\n"
+        "                               via CENN_SIMD_ISA; docs/runtime.md)\n";
   }
   if ((groups & kThreadsFlag) != 0) {
     out += "  --threads=N                  worker threads\n";

@@ -14,11 +14,11 @@
  * swallowed.
  *
  * Values are kept as strings here — src/util sits below the kernel
- * and program layers, so canonicalization (precision defaults, kernel
- * path enums) happens in runtime/engine_factory.h.
+ * and program layers, so canonicalization (precision defaults)
+ * happens in runtime/engine_factory.h.
  *
  * Execution selection is the unified ExecPolicy (util/exec_policy.h):
- * `--exec=soa:simd:shards=8:pin=numa` is the one flag, and the
+ * `--exec=soa:double:shards=8:pin=numa` is the one flag, and the
  * CENN_EXEC environment variable overrides whichever fields it
  * mentions (logged once). Precedence: defaults < --exec < CENN_EXEC.
  */
@@ -63,8 +63,8 @@ enum CommonFlagGroup : unsigned {
 /** Parsed values of the shared flags (defaults when not given). */
 struct CommonOptions {
   /**
-   * How the run executes: engine, precision, memory, kernel path,
-   * shards, pinning. Assembled from --exec and CENN_EXEC; validated,
+   * How the run executes: engine, precision, memory, shards,
+   * pinning. Assembled from --exec and CENN_EXEC; validated,
    * so safe to hand to BuildEngine / ShardTeam directly.
    */
   ExecPolicy exec;

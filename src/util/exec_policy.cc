@@ -14,7 +14,6 @@ namespace {
 constexpr const char* kEngines[] = {"functional", "soa", "arch"};
 constexpr const char* kPrecisions[] = {"double", "fixed", "float"};
 constexpr const char* kMemories[] = {"ddr3", "hmc-int", "hmc-ext"};
-constexpr const char* kKernelPaths[] = {"auto", "scalar", "blocked", "simd"};
 constexpr const char* kPins[] = {"none", "cores", "numa"};
 
 /** One string-valued policy field: grammar key, diagnostic noun,
@@ -32,7 +31,6 @@ const ChoiceField kChoiceFields[] = {
     {"engine", "engine", &ExecPolicy::engine, kEngines, true},
     {"precision", "precision", &ExecPolicy::precision, kPrecisions, true},
     {"memory", "memory", &ExecPolicy::memory, kMemories, true},
-    {"kernel", "kernel path", &ExecPolicy::kernel_path, kKernelPaths, true},
     {"pin", "pin mode", &ExecPolicy::pin, kPins, false},
 };
 
@@ -53,7 +51,10 @@ CheckChoice(const ChoiceField& field, const std::string& value,
   }
   std::string joined;
   for (const char* c : field.choices) {
-    joined += (joined.empty() ? "" : "|") + std::string(c);
+    if (!joined.empty()) {
+      joined += '|';
+    }
+    joined += c;
   }
   *error = std::string("unknown ") + field.noun + " '" + value + "' (" +
            joined + ")";
@@ -135,9 +136,8 @@ ParseExecPolicy(const std::string& text, ExecPolicy* out, std::string* error)
       }
       if (key.empty()) {
         *error = "unknown exec token '" + seg +
-                 "' (engine, precision, kernel path or memory name; or "
-                 "key=value with keys engine|precision|memory|kernel|"
-                 "shards|pin)";
+                 "' (engine, precision or memory name; or key=value with "
+                 "keys engine|precision|memory|shards|pin)";
         return false;
       }
     }
@@ -145,7 +145,7 @@ ParseExecPolicy(const std::string& text, ExecPolicy* out, std::string* error)
     const ChoiceField* field = FindField(key);
     if (field == nullptr && key != "shards") {
       *error = "unknown exec key '" + key +
-               "' (engine|precision|memory|kernel|shards|pin)";
+               "' (engine|precision|memory|shards|pin)";
       return false;
     }
     if (!seen.insert(key).second) {
@@ -191,6 +191,19 @@ ValidateExecPolicy(const ExecPolicy& policy, std::string* error)
              policy.engine + "'";
     return false;
   }
+  if (policy.engine == "arch" && !policy.precision.empty() &&
+      policy.precision != "fixed") {
+    *error = "precision '" + policy.precision +
+             "' is not available on the arch engine, which simulates the "
+             "Q16.16 datapath (fixed)";
+    return false;
+  }
+  if (policy.engine != "arch" && policy.memory != "ddr3") {
+    *error = "memory '" + policy.memory +
+             "' is only available on the arch engine, not '" +
+             policy.engine + "'";
+    return false;
+  }
   return true;
 }
 
@@ -203,9 +216,6 @@ FormatExecPolicy(const ExecPolicy& policy)
   }
   if (policy.memory != "ddr3") {
     out += ":" + policy.memory;
-  }
-  if (policy.kernel_path != "auto") {
-    out += ":" + policy.kernel_path;
   }
   if (policy.shards != 1) {
     out += ":shards=" + std::to_string(policy.shards);

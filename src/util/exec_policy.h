@@ -6,8 +6,8 @@
  * ExecPolicy — the one value type that says *how* a solver run
  * executes.
  *
- * Engine selection, numeric precision, memory system, kernel path,
- * band-shard count and worker-team pinning have a single
+ * Engine selection, numeric precision, memory system, band-shard
+ * count and worker-team pinning have a single
  * parse/validate/print spelling shared by CLI flags (`--exec=...`),
  * manifest keys (`exec=...`), the serve submit JSON
  * (`"exec": "..."`) and the CENN_EXEC environment override.
@@ -15,19 +15,16 @@
  * Grammar: colon-separated segments, each either `key=value` or a
  * bare token whose class is unambiguous:
  *
- *     --exec=soa:simd:shards=8:pin=numa
+ *     --exec=soa:double:shards=8:pin=numa
  *     --exec=functional:double
- *     --exec=soa:double:blocked:shards=4
+ *     --exec=arch:hmc-int
  *
- * Keys: engine, precision, memory, kernel, shards, pin. Bare tokens:
- * engine names (functional|soa|arch), precisions (double|fixed|
- * float), kernel paths (auto|scalar|blocked|simd) and memory systems
- * (ddr3|hmc-int|hmc-ext).
+ * Keys: engine, precision, memory, shards, pin. Bare tokens: engine
+ * names (functional|soa|arch), precisions (double|fixed|float) and
+ * memory systems (ddr3|hmc-int|hmc-ext).
  *
- * Values are kept as strings (src/util sits below the kernel layer);
- * canonicalization to enums happens in runtime/engine_factory.h. The
- * choice lists here must stay in sync with kernels/kernel_path.h and
- * engine_factory — tests/test_engine.cc asserts the agreement.
+ * Values are kept as strings (src/util sits below the engine layer);
+ * runtime/engine_factory.h turns a validated policy into an engine.
  */
 
 #include <string>
@@ -47,10 +44,6 @@ struct ExecPolicy {
 
   /** Arch memory system: "ddr3", "hmc-int" or "hmc-ext". */
   std::string memory = "ddr3";
-
-  /** SoA stepping kernels: "auto" (= simd), "scalar", "blocked" or
-      "simd". */
-  std::string kernel_path = "auto";
 
   /** Band-parallel worker-team size (1 = serial). */
   int shards = 1;
@@ -74,14 +67,17 @@ bool ParseExecPolicy(const std::string& text, ExecPolicy* out,
 
 /**
  * Whole-policy validation: every field one of its choices, shards
- * >= 1, float precision soa-only. A policy passing this never trips
+ * >= 1, and no field naming a setting its engine would ignore — float
+ * precision is soa-only, the arch engine simulates the Q16.16
+ * datapath only (precision fixed), and a memory system other than
+ * ddr3 needs the arch engine. A policy passing this never trips
  * CENN_FATAL in BuildEngine. Returns false with a one-line `*error`.
  */
 bool ValidateExecPolicy(const ExecPolicy& policy, std::string* error);
 
 /**
  * Canonical spelling: engine first, then every non-default field
- * ("soa:double:simd:shards=8:pin=numa"). Round-trips: parsing the
+ * ("soa:double:shards=8:pin=numa"). Round-trips: parsing the
  * result reproduces `policy` exactly.
  */
 std::string FormatExecPolicy(const ExecPolicy& policy);

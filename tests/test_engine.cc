@@ -15,7 +15,6 @@
 
 #include "core/network.h"
 #include "core/solver.h"
-#include "kernels/kernel_path.h"
 #include "kernels/soa_engine.h"
 #include "kernels/soa_simd.h"
 #include "models/benchmark_model.h"
@@ -114,64 +113,9 @@ TEST(EngineTest, DefaultBindStatsPublishesStepsAndTime)
 }
 
 // ---------------------------------------------------------------------------
-// Kernel-path selection
+// Vector ISA dispatch
 
-TEST(KernelPathTest, ParsesEveryChoiceAndRejectsUnknown)
-{
-  KernelPath path = KernelPath::kAuto;
-  EXPECT_TRUE(ParseKernelPath("auto", &path));
-  EXPECT_EQ(path, KernelPath::kAuto);
-  EXPECT_TRUE(ParseKernelPath("scalar", &path));
-  EXPECT_EQ(path, KernelPath::kScalar);
-  EXPECT_TRUE(ParseKernelPath("blocked", &path));
-  EXPECT_EQ(path, KernelPath::kBlocked);
-  EXPECT_TRUE(ParseKernelPath("simd", &path));
-  EXPECT_EQ(path, KernelPath::kSimd);
-  EXPECT_FALSE(ParseKernelPath("avx2", &path));
-  EXPECT_FALSE(ParseKernelPath("", &path));
-  EXPECT_FALSE(ParseKernelPath(nullptr, &path));
-}
-
-TEST(KernelPathTest, EnvOverrideSelectsThePathItNames)
-{
-  setenv("CENN_KERNEL_PATH", "blocked", 1);
-  EXPECT_EQ(ResolveKernelPath(KernelPath::kAuto), KernelPath::kBlocked);
-  EXPECT_EQ(ResolveKernelPath(KernelPath::kSimd), KernelPath::kBlocked);
-  // "auto" and the empty string override nothing: the request stands.
-  setenv("CENN_KERNEL_PATH", "auto", 1);
-  EXPECT_EQ(ResolveKernelPath(KernelPath::kScalar), KernelPath::kScalar);
-  setenv("CENN_KERNEL_PATH", "", 1);  // empty means unset
-  EXPECT_EQ(ResolveKernelPath(KernelPath::kBlocked), KernelPath::kBlocked);
-  unsetenv("CENN_KERNEL_PATH");
-  EXPECT_EQ(ResolveKernelPath(KernelPath::kBlocked), KernelPath::kBlocked);
-}
-
-TEST(KernelPathTest, AutoResolvesToSimdAtEveryPrecision)
-{
-  // The default path is the fast one: kAuto means the vector kernels,
-  // for Fixed32 as for double and float.
-  unsetenv("CENN_KERNEL_PATH");
-  EXPECT_EQ(ResolveKernelPath(KernelPath::kAuto), KernelPath::kSimd);
-  const SolverProgram program = ModelProgram("heat", 8, 8);
-  EXPECT_EQ(SoaEngine<Fixed32>(program.spec).Path(), KernelPath::kSimd);
-  EXPECT_EQ(SoaEngine<double>(program.spec).Path(), KernelPath::kSimd);
-  EXPECT_EQ(SoaEngine<float>(program.spec).Path(), KernelPath::kSimd);
-}
-
-TEST(KernelPathDeathTest, UnknownEnvOverrideIsFatalNotAFallback)
-{
-  // An unrecognized CENN_KERNEL_PATH used to fall back silently to the
-  // requested path; a typo must refuse to run instead of timing or
-  // debugging the wrong kernels.
-  setenv("CENN_KERNEL_PATH", "turbo", 1);
-  EXPECT_DEATH(ResolveKernelPath(KernelPath::kAuto),
-               "CENN_KERNEL_PATH='turbo' is not a kernel path");
-  EXPECT_DEATH(ResolveKernelPath(KernelPath::kAuto),
-               "auto.scalar.blocked.simd");
-  unsetenv("CENN_KERNEL_PATH");
-}
-
-TEST(KernelPathDeathTest, UnknownSimdIsaIsFatalNotAFallback)
+TEST(SimdIsaDeathTest, UnknownSimdIsaIsFatalNotAFallback)
 {
   // The simd dispatcher probes once per process, so no simd engine may
   // be built before the forked death-test child reads the environment;
@@ -261,7 +205,7 @@ TEST(EngineSessionTest, NonBandEngineClampsShardsWithWarning)
 
 TEST(CommonOptionsTest, ParsesAllGroupsWithDefaults)
 {
-  CliFlags flags = Flags({"--exec=soa:float:scalar", "--threads=3",
+  CliFlags flags = Flags({"--exec=soa:float:shards=2", "--threads=3",
                           "--stats-out=s.json", "--trace-out=t.json",
                           "--trace-categories=step,conv",
                           "--trace-capacity=1024", "--progress"});
@@ -271,7 +215,7 @@ TEST(CommonOptionsTest, ParsesAllGroupsWithDefaults)
   EXPECT_EQ(opts.exec.engine, "soa");
   EXPECT_EQ(opts.exec.precision, "float");
   EXPECT_EQ(opts.exec.memory, "ddr3");  // default
-  EXPECT_EQ(opts.exec.kernel_path, "scalar");
+  EXPECT_EQ(opts.exec.shards, 2);
   EXPECT_EQ(opts.threads, 3);
   EXPECT_EQ(opts.stats_out, "s.json");
   EXPECT_EQ(opts.trace_out, "t.json");
@@ -372,12 +316,12 @@ TEST(ExecPolicyTest, ParsesBareTokensAndKeyValues)
 {
   ExecPolicy policy;
   std::string error;
-  ASSERT_TRUE(ParseExecPolicy("soa:simd:shards=8:pin=numa", &policy,
+  ASSERT_TRUE(ParseExecPolicy("soa:double:shards=8:pin=numa", &policy,
                               &error))
       << error;
   ExecPolicy expected;
   expected.engine = "soa";
-  expected.kernel_path = "simd";
+  expected.precision = "double";
   expected.shards = 8;
   expected.pin = "numa";
   EXPECT_EQ(policy, expected);
@@ -391,20 +335,20 @@ TEST(ExecPolicyTest, ParsesBareTokensAndKeyValues)
   EXPECT_EQ(bare.precision, "double");
 
   ExecPolicy keyed;
-  ASSERT_TRUE(ParseExecPolicy(
-      "engine=soa:precision=float:kernel=blocked:memory=hmc-ext", &keyed,
-      &error))
+  ASSERT_TRUE(ParseExecPolicy("engine=arch:precision=fixed:memory=hmc-ext",
+                              &keyed, &error))
       << error;
-  EXPECT_EQ(keyed.engine, "soa");
-  EXPECT_EQ(keyed.precision, "float");
-  EXPECT_EQ(keyed.kernel_path, "blocked");
+  EXPECT_EQ(keyed.engine, "arch");
+  EXPECT_EQ(keyed.precision, "fixed");
   EXPECT_EQ(keyed.memory, "hmc-ext");
 }
 
 TEST(ExecPolicyTest, RemovedKeysAreRejected)
 {
-  // kernel= is the one kernel key, and temporal blocking is gone.
-  for (const char* text : {"kernel_path=simd", "block=4", "soa:block=1"}) {
+  // The SoA engine has one kernel, so no key selects one, and temporal
+  // blocking is gone.
+  for (const char* text : {"kernel=simd", "kernel=auto",
+                           "soa:kernel=blocked", "block=4", "soa:block=1"}) {
     ExecPolicy policy;
     std::string error;
     EXPECT_FALSE(ParseExecPolicy(text, &policy, &error)) << text;
@@ -413,16 +357,30 @@ TEST(ExecPolicyTest, RemovedKeysAreRejected)
   }
 }
 
+TEST(ExecPolicyTest, RemovedKernelTokensAreRejected)
+{
+  // The bare kernel-path tokens are unknown, alone or after an engine,
+  // and the error no longer offers a kernel choice.
+  for (const char* text : {"auto", "scalar", "blocked", "simd",
+                           "soa:blocked", "soa:double:simd:shards=2"}) {
+    ExecPolicy policy;
+    std::string error;
+    EXPECT_FALSE(ParseExecPolicy(text, &policy, &error)) << text;
+    EXPECT_NE(error.find("unknown exec token"), std::string::npos) << error;
+    EXPECT_EQ(error.find("kernel"), std::string::npos) << error;
+    EXPECT_EQ(policy, ExecPolicy{}) << text;
+  }
+}
+
 TEST(ExecPolicyTest, MergeOverridesOnlyMentionedFields)
 {
   ExecPolicy policy;
   std::string error;
-  ASSERT_TRUE(ParseExecPolicy("soa:double:simd:shards=4", &policy, &error));
+  ASSERT_TRUE(ParseExecPolicy("soa:double:shards=4", &policy, &error));
   // Second parse into the same policy: merge semantics.
   ASSERT_TRUE(ParseExecPolicy("shards=2:pin=cores", &policy, &error));
   EXPECT_EQ(policy.engine, "soa");
   EXPECT_EQ(policy.precision, "double");
-  EXPECT_EQ(policy.kernel_path, "simd");
   EXPECT_EQ(policy.shards, 2);
   EXPECT_EQ(policy.pin, "cores");
 }
@@ -440,7 +398,7 @@ TEST(ExecPolicyTest, RejectsUnknownTokensDuplicatesAndBadCounts)
   EXPECT_FALSE(ParseExecPolicy("pin=all", &policy, &error));
   EXPECT_FALSE(ParseExecPolicy("engine=gpu", &policy, &error));
   EXPECT_FALSE(ParseExecPolicy("", &policy, &error));
-  EXPECT_FALSE(ParseExecPolicy("soa::simd", &policy, &error));
+  EXPECT_FALSE(ParseExecPolicy("soa::double", &policy, &error));
 }
 
 TEST(ExecPolicyTest, FormatRoundTripsAndOmitsDefaults)
@@ -453,11 +411,10 @@ TEST(ExecPolicyTest, FormatRoundTripsAndOmitsDefaults)
   ExecPolicy full;
   full.engine = "soa";
   full.precision = "double";
-  full.kernel_path = "simd";
   full.shards = 8;
   full.pin = "numa";
   const std::string text = FormatExecPolicy(full);
-  EXPECT_EQ(text, "soa:double:simd:shards=8:pin=numa");
+  EXPECT_EQ(text, "soa:double:shards=8:pin=numa");
 
   ExecPolicy reparsed;
   std::string error;
@@ -467,11 +424,10 @@ TEST(ExecPolicyTest, FormatRoundTripsAndOmitsDefaults)
 
 TEST(ExecPolicyTest, DefaultsAreTheFastPath)
 {
-  // No exec= at all means the soa engine on the simd kernels, at the
-  // engine default precision (fixed).
+  // No exec= at all means the soa engine, at the engine default
+  // precision (fixed).
   const ExecPolicy defaults;
   EXPECT_EQ(defaults.engine, "soa");
-  EXPECT_EQ(defaults.kernel_path, "auto");
   EXPECT_EQ(defaults.precision, "");
   EXPECT_EQ(FormatExecPolicy(defaults), "soa");
   // float is soa-only, so the default engine accepts it.
@@ -480,13 +436,10 @@ TEST(ExecPolicyTest, DefaultsAreTheFastPath)
   ASSERT_TRUE(ParseExecPolicy("float", &float_only, &error)) << error;
   EXPECT_TRUE(ValidateExecPolicy(float_only, &error)) << error;
 
-  unsetenv("CENN_KERNEL_PATH");
   const SolverProgram program = ModelProgram("heat", 8, 8);
   const auto engine = BuildEngine(program, defaults);
   EXPECT_STREQ(engine->Kind(), "soa");
-  const auto* soa = dynamic_cast<const SoaEngine<Fixed32>*>(engine.get());
-  ASSERT_NE(soa, nullptr);
-  EXPECT_EQ(soa->Path(), KernelPath::kSimd);
+  EXPECT_NE(dynamic_cast<const SoaEngine<Fixed32>*>(engine.get()), nullptr);
 }
 
 TEST(ExecPolicyTest, ValidateEnforcesCrossFieldRules)
@@ -499,29 +452,26 @@ TEST(ExecPolicyTest, ValidateEnforcesCrossFieldRules)
   EXPECT_NE(error.find("float"), std::string::npos);
   EXPECT_FALSE(ValidateExecPolicy(Policy("arch", "float"), &error));
 
+  // arch simulates the Q16.16 datapath: fixed (or the default) only.
+  EXPECT_TRUE(ValidateExecPolicy(Policy("arch", "fixed"), &error)) << error;
+  EXPECT_FALSE(ValidateExecPolicy(Policy("arch", "double"), &error));
+  EXPECT_NE(error.find("arch"), std::string::npos) << error;
+
+  // Only arch models memory: functional and soa take ddr3 alone.
+  for (const char* engine : {"functional", "soa"}) {
+    ExecPolicy hmc = Policy(engine);
+    hmc.memory = "hmc-int";
+    EXPECT_FALSE(ValidateExecPolicy(hmc, &error)) << engine;
+    EXPECT_NE(error.find("hmc-int"), std::string::npos) << error;
+  }
+  ExecPolicy arch_hmc = Policy("arch");
+  arch_hmc.memory = "hmc-int";
+  EXPECT_TRUE(ValidateExecPolicy(arch_hmc, &error)) << error;
+
   ExecPolicy no_shards;
   no_shards.shards = 0;
   EXPECT_FALSE(ValidateExecPolicy(no_shards, &error));
   EXPECT_NE(error.find("shards"), std::string::npos);
-}
-
-TEST(ExecPolicyTest, KernelChoicesStayInSyncWithKernelPathParser)
-{
-  // The policy's kernel choice list and kernels/kernel_path.h must
-  // accept exactly the same spellings (the policy layer cannot
-  // include the kernel header; this test is the sync contract).
-  for (const char* name : {"auto", "scalar", "blocked", "simd"}) {
-    ExecPolicy policy;
-    std::string error;
-    ASSERT_TRUE(ParseExecPolicy(std::string("kernel=") + name, &policy,
-                                &error))
-        << name << ": " << error;
-    KernelPath path = KernelPath::kAuto;
-    EXPECT_TRUE(ParseKernelPath(name, &path)) << name;
-    EXPECT_NE(std::string(kKernelPathChoices).find(name),
-              std::string::npos)
-        << name;
-  }
 }
 
 TEST(ExecPolicyDeathTest, ToEngineRequestRejectsInvalidPolicies)

@@ -1,15 +1,15 @@
 /**
  * @file
  * SoA kernel engine tests: the bit-exactness contract of SoaEngine
- * against the functional reference (every bundled model, double and
- * fixed precision, serial and band-sharded), scalar-vs-blocked kernel
- * path agreement, checkpoint round-trips through the SoA layout, and
- * a seeded differential fuzz sweep pitting the scalar, blocked and
- * simd kernel paths against each other across models, grid shapes
- * (odd and tiny widths included), boundary kinds, precisions,
- * evaluators and shard counts — for Fixed32 also LUT geometries,
- * saturating states, mid-run refits and the saturation and LUT
- * counters — and the Q16.16 lane ops checked against Fixed32.
+ * against its one oracle, the functional engine (every bundled model,
+ * double, fixed and float precision, serial and band-sharded),
+ * checkpoint round-trips through the SoA layout, a seeded
+ * differential fuzz sweep of the SoA kernels against the functional
+ * engine across models, grid shapes (odd and tiny widths included),
+ * boundary kinds, precisions, evaluators and shard counts — for
+ * Fixed32 also LUT geometries, saturating states, mid-run refits and
+ * the saturation and LUT counters — and the Q16.16 lane ops checked
+ * against Fixed32.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "core/network.h"
 #include "core/solver.h"
 #include "health/health_guard.h"
 #include "kernels/soa_engine.h"
@@ -34,7 +35,6 @@
 #include "lut/lut_traffic.h"
 #include "mapping/mapper.h"
 #include "models/benchmark_model.h"
-#include "kernels/kernel_path.h"
 #include "program/checkpoint.h"
 #include "runtime/worker_team.h"
 
@@ -59,6 +59,39 @@ LutFixedOptions(const SolverProgram& program)
       LutStore::Global().Acquire(program.spec, program.lut_config);
   options.fixed_evaluator = std::make_shared<LutEvaluatorFixed>(bank);
   return options;
+}
+
+/** Double (ideal math) or Fixed32 (program LUTs) engine options. */
+SolverOptions
+PrecisionOptions(const SolverProgram& program, const std::string& precision)
+{
+  if (precision == "fixed") {
+    return LutFixedOptions(program);
+  }
+  SolverOptions options;
+  options.precision = Precision::kDouble;
+  return options;
+}
+
+/** The functional oracle at "double", "fixed" or "float". */
+std::unique_ptr<Engine>
+MakeOracle(const SolverProgram& program, const std::string& precision)
+{
+  if (precision == "float") {
+    return std::make_unique<MultilayerCenn<float>>(program.spec);
+  }
+  return MakeFunctionalEngine(program.spec,
+                              PrecisionOptions(program, precision));
+}
+
+/** The SoA engine at "double", "fixed" or "float". */
+std::unique_ptr<Engine>
+MakeSoa(const SolverProgram& program, const std::string& precision)
+{
+  if (precision == "float") {
+    return MakeSoaEngineFloat(program.spec);
+  }
+  return MakeSoaEngine(program.spec, PrecisionOptions(program, precision));
 }
 
 /** Steps `engine` `steps` times on a `shards`-band team, one dispatch. */
@@ -87,7 +120,7 @@ ExpectSameState(const Engine& a, const Engine& b, const std::string& context)
 }
 
 // ---------------------------------------------------------------------------
-// Bit-exactness sweep: every model x {double, fixed+LUT} x shard counts
+// Bit-exactness sweep: every model x {double, fixed+LUT, float} x shards
 
 TEST(SoaEngineSweepTest, BitExactVsFunctionalAllModelsBothPrecisions)
 {
@@ -97,15 +130,9 @@ TEST(SoaEngineSweepTest, BitExactVsFunctionalAllModelsBothPrecisions)
     if (program.spec.integrator != Integrator::kEuler) {
       continue;  // the SoA engine is explicit-Euler only
     }
-    for (const char* precision : {"double", "fixed"}) {
-      SolverOptions options;
-      if (std::string(precision) == "double") {
-        options.precision = Precision::kDouble;
-      } else {
-        options = LutFixedOptions(program);
-      }
-      const auto reference = MakeFunctionalEngine(program.spec, options);
-      const auto soa = MakeSoaEngine(program.spec, options);
+    for (const char* precision : {"double", "fixed", "float"}) {
+      const auto reference = MakeOracle(program, precision);
+      const auto soa = MakeSoa(program, precision);
       reference->Run(kSteps);
       soa->Run(kSteps);
       ExpectSameState(*reference, *soa,
@@ -122,51 +149,18 @@ TEST(SoaEngineSweepTest, ShardedBitExactVsFunctionalAllModels)
     if (program.spec.integrator != Integrator::kEuler) {
       continue;
     }
-    const SolverOptions options = LutFixedOptions(program);
-    const auto reference = MakeFunctionalEngine(program.spec, options);
-    reference->Run(kSteps);
-    for (int shards : {1, 3, 7}) {
-      const auto soa = MakeSoaEngine(program.spec, options);
-      RunTeam(soa.get(), kSteps, shards);
-      ExpectSameState(*reference, *soa,
-                      name + "/fixed/shards=" + std::to_string(shards));
+    for (const char* precision : {"fixed", "float"}) {
+      const auto reference = MakeOracle(program, precision);
+      reference->Run(kSteps);
+      for (int shards : {1, 3, 7}) {
+        const auto soa = MakeSoa(program, precision);
+        RunTeam(soa.get(), kSteps, shards);
+        ExpectSameState(*reference, *soa,
+                        name + "/" + precision +
+                            "/shards=" + std::to_string(shards));
+      }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Kernel paths
-
-TEST(SoaEngineTest, ScalarAndBlockedPathsAgreeEveryPrecision)
-{
-  constexpr std::uint64_t kSteps = 12;
-  const SolverProgram program = ModelProgram("reaction_diffusion", 16, 16);
-
-  for (const char* precision : {"double", "fixed"}) {
-    SolverOptions options;
-    if (std::string(precision) == "double") {
-      options.precision = Precision::kDouble;
-    } else {
-      options = LutFixedOptions(program);
-    }
-    const auto scalar =
-        MakeSoaEngine(program.spec, options, KernelPath::kScalar);
-    const auto blocked =
-        MakeSoaEngine(program.spec, options, KernelPath::kBlocked);
-    scalar->Run(kSteps);
-    blocked->Run(kSteps);
-    ExpectSameState(*scalar, *blocked,
-                    std::string("scalar-vs-blocked/") + precision);
-  }
-
-  // Float has no functional reference; the two paths cross-check it.
-  const auto fscalar =
-      MakeSoaEngineFloat(program.spec, nullptr, KernelPath::kScalar);
-  const auto fblocked =
-      MakeSoaEngineFloat(program.spec, nullptr, KernelPath::kBlocked);
-  fscalar->Run(kSteps);
-  fblocked->Run(kSteps);
-  ExpectSameState(*fscalar, *fblocked, "scalar-vs-blocked/float");
 }
 
 TEST(SoaEngineTest, ReportsKindAndBands)
@@ -226,7 +220,7 @@ TEST(SoaEngineTest, CheckpointCrossesEngineKinds)
 }
 
 // ---------------------------------------------------------------------------
-// Differential fuzz sweep: scalar vs blocked vs simd kernel paths
+// Differential fuzz sweep: the SoA kernels against the functional oracle
 
 /** Maps double bits onto a monotone signed line (ULP arithmetic). */
 std::int64_t
@@ -320,15 +314,13 @@ RunCounting(Engine* engine, std::uint64_t steps, int shards,
   engine->AttachHealthGuard(&guard);
   engine->AttachLutTraffic(&sink);
   const auto run = [&](std::uint64_t n) {
-    // As SolverSession::RunSlice: the calling thread counts its own
-    // clamps (a one-shard team steps inline); band workers install
-    // their own counters and LUT tallies.
-    ScopedSatCounter sat(&guard);
     if (shards == 0) {
+      // Stepping outside a team: this thread counts, as cenn_run does.
+      ScopedSatCounter sat(&guard);
       ScopedLutTally tally(&sink);
       engine->Run(n);
     } else {
-      RunTeam(engine, n, shards);
+      RunTeam(engine, n, shards);  // the team counts on its own threads
     }
   };
   run(steps / 2);
@@ -353,20 +345,20 @@ EditLutSpecs(LutConfig* config, Edit edit)
 }
 
 /**
- * The simd exactness contract, fuzzed: >= 100 seeded random configs
+ * The SoA exactness contract, fuzzed: >= 100 seeded random configs
  * (model x grid shape x boundary kind x precision x evaluator x shard
- * count x step count), each stepped on the scalar, blocked and simd
- * kernel paths. blocked must match scalar bit-for-bit (the existing
- * contract); simd must match within 4 native ULPs for float/double
- * (docs/kernels.md) and bit-for-bit for Fixed32, whose configs also
- * draw a LUT geometry (paper grid, 2^-1/2^-2 spacing, or min_p off
- * the sample grid), saturating initial states and a mid-run refit,
- * and must match scalar's HealthGuard saturation events and LUT
- * accesses and exact hits too. Every assertion carries the master
- * seed and the config index, so a failure reproduces by pinning
- * kMasterSeed and stepping to that config.
+ * count x step count), each stepped serially on the functional oracle
+ * (MultilayerCenn<T>) and on a team of SoA engines. The SoA kernels
+ * must match within 4 native ULPs for float/double (docs/kernels.md)
+ * and bit-for-bit for Fixed32, whose configs also draw a LUT geometry
+ * (paper grid, 2^-1/2^-2 spacing, or min_p off the sample grid),
+ * saturating initial states and a mid-run refit, and must match the
+ * oracle's HealthGuard saturation events and LUT accesses and exact
+ * hits too. Every assertion carries the master seed and the config
+ * index, so a failure reproduces by pinning kMasterSeed and stepping
+ * to that config.
  */
-TEST(SimdFuzzTest, DifferentialSweepScalarBlockedSimd)
+TEST(SimdFuzzTest, DifferentialSweepSimdVsFunctional)
 {
   constexpr std::uint64_t kMasterSeed = 0xCE11FA57u;
   constexpr int kConfigs = 120;
@@ -447,54 +439,47 @@ TEST(SimdFuzzTest, DifferentialSweepScalarBlockedSimd)
 
     if (precision == "float") {
       // No float LUT evaluator exists; direct math only.
-      const auto scalar =
-          MakeSoaEngineFloat(program.spec, nullptr, KernelPath::kScalar);
-      const auto blocked =
-          MakeSoaEngineFloat(program.spec, nullptr, KernelPath::kBlocked);
-      const auto simd =
-          MakeSoaEngineFloat(program.spec, nullptr, KernelPath::kSimd);
-      scalar->Run(steps);
-      RunTeam(blocked.get(), steps, shards);
+      MultilayerCenn<float> oracle(program.spec);
+      const auto simd = MakeSoaEngineFloat(program.spec);
+      oracle.Run(steps);
       RunTeam(simd.get(), steps, shards);
-      ExpectSameState(*scalar, *blocked, desc.str() + " [blocked]");
-      ExpectUlpClose(*scalar, *simd, /*as_float=*/true, kMaxUlp,
-                     desc.str() + " [simd]");
+      ExpectUlpClose(oracle, *simd, /*as_float=*/true, kMaxUlp, desc.str());
       continue;
     }
 
-    SolverOptions options;
-    if (precision == "double") {
-      options.precision = Precision::kDouble;
-      if (use_lut) {
-        auto bank = LutStore::Global().Acquire(program.spec,
-                                                    program.lut_config);
-        options.double_evaluator =
-            std::make_shared<LutEvaluatorDouble>(bank);
+    // Each engine gets its own evaluator, so a refit of one cannot
+    // reach the other's tables.
+    const auto make_options = [&] {
+      SolverOptions options;
+      if (precision == "double") {
+        options.precision = Precision::kDouble;
+        if (use_lut) {
+          auto bank = LutStore::Global().Acquire(program.spec,
+                                                 program.lut_config);
+          options.double_evaluator =
+              std::make_shared<LutEvaluatorDouble>(bank);
+        }
+      } else {
+        options.precision = Precision::kFixed32;
+        if (use_lut) {
+          options = LutFixedOptions(program);
+        }
       }
-    } else {
-      options.precision = Precision::kFixed32;
-      if (use_lut) {
-        options = LutFixedOptions(program);
-      }
-    }
-    const auto scalar =
-        MakeSoaEngine(program.spec, options, KernelPath::kScalar);
-    const auto blocked =
-        MakeSoaEngine(program.spec, options, KernelPath::kBlocked);
-    const auto simd =
-        MakeSoaEngine(program.spec, options, KernelPath::kSimd);
+      return options;
+    };
+    const auto oracle = MakeFunctionalEngine(program.spec, make_options());
+    const auto simd = MakeSoaEngine(program.spec, make_options());
     if (!fixed) {
-      scalar->Run(steps);
-      RunTeam(blocked.get(), steps, shards);
+      oracle->Run(steps);
       RunTeam(simd.get(), steps, shards);
-      ExpectSameState(*scalar, *blocked, desc.str() + " [blocked]");
-      ExpectUlpClose(*scalar, *simd, /*as_float=*/false, kMaxUlp,
-                     desc.str() + " [simd]");
+      ExpectUlpClose(*oracle, *simd, /*as_float=*/false, kMaxUlp,
+                     desc.str());
       continue;
     }
 
-    // Fixed32: integer lanes do not round, so simd is bit-exact with
-    // no ULP slack, and counts every clamp and LUT read as scalar does.
+    // Fixed32: integer lanes do not round, so the SoA kernels are
+    // bit-exact with no ULP slack, and count every clamp and LUT read
+    // as the oracle does.
     std::shared_ptr<const LutBank> refit_bank;
     if (refit) {
       LutConfig widened = program.lut_config;
@@ -504,18 +489,12 @@ TEST(SimdFuzzTest, DifferentialSweepScalarBlockedSimd)
       });
       refit_bank = LutStore::Global().Acquire(program.spec, widened);
     }
-    const FixedCounts want = RunCounting(scalar.get(), steps, 0, refit_bank);
-    const FixedCounts got_blocked =
-        RunCounting(blocked.get(), steps, shards, refit_bank);
-    const FixedCounts got_simd =
-        RunCounting(simd.get(), steps, shards, refit_bank);
-    ExpectSameState(*scalar, *blocked, desc.str() + " [blocked]");
-    ExpectSameState(*scalar, *simd, desc.str() + " [simd]");
-    for (const FixedCounts& got : {got_blocked, got_simd}) {
-      EXPECT_EQ(got.sat_events, want.sat_events);
-      EXPECT_EQ(got.lut_accesses, want.lut_accesses);
-      EXPECT_EQ(got.lut_exact_hits, want.lut_exact_hits);
-    }
+    const FixedCounts want = RunCounting(oracle.get(), steps, 0, refit_bank);
+    const FixedCounts got = RunCounting(simd.get(), steps, shards, refit_bank);
+    ExpectSameState(*oracle, *simd, desc.str());
+    EXPECT_EQ(got.sat_events, want.sat_events);
+    EXPECT_EQ(got.lut_accesses, want.lut_accesses);
+    EXPECT_EQ(got.lut_exact_hits, want.lut_exact_hits);
     fixed_totals.sat_events += want.sat_events;
     fixed_totals.lut_accesses += want.lut_accesses;
     fixed_totals.lut_exact_hits += want.lut_exact_hits;
@@ -558,14 +537,13 @@ TEST(SimdFuzzTest, Fixed32ClampsCountOnlyRealCells)
     program.spec = Mapper::Map(sys);
     program.lut_config.default_spec.min_p = 20.0;
     program.lut_config.default_spec.max_p = 28.0;
-    const SolverOptions options = LutFixedOptions(program);
-    const auto scalar =
-        MakeSoaEngine(program.spec, options, KernelPath::kScalar);
-    const auto simd = MakeSoaEngine(program.spec, options, KernelPath::kSimd);
-    const FixedCounts want = RunCounting(scalar.get(), 4, 0, nullptr);
+    const auto oracle =
+        MakeFunctionalEngine(program.spec, LutFixedOptions(program));
+    const auto simd = MakeSoaEngine(program.spec, LutFixedOptions(program));
+    const FixedCounts want = RunCounting(oracle.get(), 4, 0, nullptr);
     const FixedCounts got = RunCounting(simd.get(), 4, 0, nullptr);
     const std::string context = "cols=" + std::to_string(cols);
-    ExpectSameState(*scalar, *simd, context);
+    ExpectSameState(*oracle, *simd, context);
     EXPECT_GT(want.sat_events, 0u) << context;
     EXPECT_EQ(got.sat_events, want.sat_events) << context;
     EXPECT_EQ(got.lut_accesses, want.lut_accesses) << context;
@@ -646,7 +624,7 @@ TEST(SimdFuzzTest, LaneOpsMatchFixed32)
 }
 
 // ---------------------------------------------------------------------------
-// LUT traffic accounting: identical counts on every kernel path
+// LUT traffic accounting: the SoA kernels count what the oracle counts
 
 /** Runs one engine with LUT accounting attached; returns the tally. */
 LutTally
@@ -667,53 +645,40 @@ CountLutTraffic(Engine* engine, std::uint64_t steps, int shards)
   return total;
 }
 
-TEST(SoaEngineTest, LutTrafficCountsIdenticalAcrossKernelPaths)
+TEST(SoaEngineTest, LutTrafficCountsMatchFunctional)
 {
-  // Double + LUT exercises the simd gathered-LUT kernels (the fixed
-  // Q16.16 gathers are checked below); sharding exercises the
-  // worker-side scoped tallies. Every configuration must see exactly
-  // the same LUT evaluation stream — the accounting is defined by the
-  // model, not by the kernel organization.
+  // Double + LUT exercises the gathered-LUT kernels, Fixed32 the
+  // Q16.16 gathers; sharding exercises the worker-side scoped tallies.
+  // The SoA kernels must see exactly the functional oracle's LUT
+  // evaluation stream — the accounting is defined by the model, not
+  // by the kernel organization.
   const SolverProgram program = ModelProgram("reaction_diffusion", 16, 16);
   constexpr std::uint64_t kSteps = 10;
   auto bank =
       LutStore::Global().Acquire(program.spec, program.lut_config);
+  const auto lut_options = [&](const std::string& precision) {
+    if (precision == "fixed") {
+      return LutFixedOptions(program);
+    }
+    SolverOptions options;
+    options.precision = Precision::kDouble;
+    options.double_evaluator = std::make_shared<LutEvaluatorDouble>(bank);
+    return options;
+  };
 
-  LutTally reference;
-  bool have_reference = false;
-  for (const KernelPath path :
-       {KernelPath::kScalar, KernelPath::kBlocked, KernelPath::kSimd}) {
+  for (const std::string precision : {"double", "fixed"}) {
+    const auto oracle =
+        MakeFunctionalEngine(program.spec, lut_options(precision));
+    const LutTally want = CountLutTraffic(oracle.get(), kSteps, 1);
+    ASSERT_GT(want.accesses, 0u) << precision;
     for (const int shards : {1, 2}) {
-      SolverOptions options;
-      options.precision = Precision::kDouble;
-      options.double_evaluator =
-          std::make_shared<LutEvaluatorDouble>(bank);
-      const auto engine = MakeSoaEngine(program.spec, options, path);
-      const LutTally tally = CountLutTraffic(engine.get(), kSteps, shards);
-      ASSERT_GT(tally.accesses, 0u);
-      if (!have_reference) {
-        reference = tally;
-        have_reference = true;
-        continue;
-      }
-      EXPECT_EQ(tally.accesses, reference.accesses)
-          << "path " << static_cast<int>(path) << " x" << shards;
-      EXPECT_EQ(tally.exact_hits, reference.exact_hits)
-          << "path " << static_cast<int>(path) << " x" << shards;
+      const auto soa = MakeSoaEngine(program.spec, lut_options(precision));
+      const LutTally got = CountLutTraffic(soa.get(), kSteps, shards);
+      EXPECT_EQ(got.accesses, want.accesses) << precision << " x" << shards;
+      EXPECT_EQ(got.exact_hits, want.exact_hits)
+          << precision << " x" << shards;
     }
   }
-
-  // The fixed datapath (scalar vs the Q16.16 simd gathers) agrees too.
-  const SolverOptions fixed_options = LutFixedOptions(program);
-  const auto fixed_scalar =
-      MakeSoaEngine(program.spec, fixed_options, KernelPath::kScalar);
-  const auto fixed_simd =
-      MakeSoaEngine(program.spec, fixed_options, KernelPath::kSimd);
-  const LutTally a = CountLutTraffic(fixed_scalar.get(), kSteps, 1);
-  const LutTally b = CountLutTraffic(fixed_simd.get(), kSteps, 2);
-  ASSERT_GT(a.accesses, 0u);
-  EXPECT_EQ(a.accesses, b.accesses);
-  EXPECT_EQ(a.exact_hits, b.exact_hits);
 }
 
 TEST(SoaEngineTest, DetachedLutTrafficCostsNothingAndCountsNothing)
@@ -734,10 +699,10 @@ TEST(SoaEngineTest, DetachedLutTrafficCostsNothingAndCountsNothing)
 // Fused persistent-team stepping (runtime/worker_team.h)
 
 /**
- * The tentpole exactness contract: a persistent ShardTeam — dispatched
- * twice to exercise worker reuse — and a team run in one dispatch both
- * reproduce serial stepping bit-for-bit, for every bundled Euler
- * model, both precisions, every kernel path and ragged shard counts.
+ * The fused-path exactness contract: a persistent ShardTeam —
+ * dispatched twice to exercise worker reuse — and a team run in one
+ * dispatch both reproduce serial SoA stepping bit-for-bit, for every
+ * bundled Euler model, both precisions and ragged shard counts.
  */
 TEST(FusedTeamSweepTest, PersistentTeamBitExactAllModelsPathsShards)
 {
@@ -748,38 +713,28 @@ TEST(FusedTeamSweepTest, PersistentTeamBitExactAllModelsPathsShards)
       continue;  // band stepping is explicit-Euler only
     }
     for (const char* precision : {"double", "fixed"}) {
-      SolverOptions options;
-      if (std::string(precision) == "double") {
-        options.precision = Precision::kDouble;
-      } else {
-        options = LutFixedOptions(program);
-      }
-      for (const KernelPath path :
-           {KernelPath::kScalar, KernelPath::kBlocked, KernelPath::kSimd}) {
-        const auto serial = MakeSoaEngine(program.spec, options, path);
-        serial->Run(kSteps);
-        for (int shards : {1, 3, 7}) {
-          const std::string context =
-              name + "/" + precision + "/" + KernelPathName(path) +
-              "/shards=" + std::to_string(shards);
+      const auto serial = MakeSoa(program, precision);
+      serial->Run(kSteps);
+      for (int shards : {1, 3, 7}) {
+        const std::string context = name + "/" + precision +
+                                    "/shards=" + std::to_string(shards);
 
-          // Persistent team, two dispatches (worker reuse).
-          const auto fused = MakeSoaEngine(program.spec, options, path);
-          {
-            TeamOptions to;
-            to.shards = shards;
-            ShardTeam team(fused.get(), to);
-            team.Run(kSteps / 2);
-            team.Run(kSteps - kSteps / 2);
-            EXPECT_EQ(team.Dispatches(), 2u) << context;
-          }
-          ExpectSameState(*serial, *fused, context + "/persistent");
-
-          // One team, one dispatch.
-          const auto oneshot = MakeSoaEngine(program.spec, options, path);
-          RunTeam(oneshot.get(), kSteps, shards);
-          ExpectSameState(*serial, *oneshot, context + "/oneshot");
+        // Persistent team, two dispatches (worker reuse).
+        const auto fused = MakeSoa(program, precision);
+        {
+          TeamOptions to;
+          to.shards = shards;
+          ShardTeam team(fused.get(), to);
+          team.Run(kSteps / 2);
+          team.Run(kSteps - kSteps / 2);
+          EXPECT_EQ(team.Dispatches(), 2u) << context;
         }
+        ExpectSameState(*serial, *fused, context + "/persistent");
+
+        // One team, one dispatch.
+        const auto oneshot = MakeSoa(program, precision);
+        RunTeam(oneshot.get(), kSteps, shards);
+        ExpectSameState(*serial, *oneshot, context + "/oneshot");
       }
     }
   }

@@ -278,7 +278,9 @@ TEST(StatScopeTest, ConcurrentRegistrationIsSerialized)
       StatScope scope =
           registry.WithPrefix("runtime.session" + std::to_string(t));
       for (int i = 0; i < 25; ++i) {
-        scope.AddCounter("c" + std::to_string(i), "counter")->Inc();
+        scope.AddCounter(std::string("c").append(std::to_string(i)),
+                         "counter")
+            ->Inc();
       }
     });
   }
@@ -474,6 +476,40 @@ TEST(ShardPhaseTimingsTest, SerialFallbackAccountsToShardZero)
   }
   EXPECT_EQ(timings.ShardAt(0).steps, kSteps);
   EXPECT_EQ(timings.PublishCount(), kSteps);
+}
+
+TEST(ShardTeamTest, OneShardTeamCountsItsOwnSaturations)
+{
+  // A one-shard team steps on the calling thread. Like a band worker,
+  // it must count Fixed32 clamps into the attached guard itself, on
+  // its plain and its observed branch: the caller installs nothing.
+  constexpr std::uint64_t kSteps = 4;
+  NetworkSpec spec = ModelSpec("reaction_diffusion", 31, 17);
+  for (LayerSpec& layer : spec.layers) {
+    for (double& x : layer.initial_state) {
+      x *= 3.0e4;  // far outside Q16.16 once multiplied
+    }
+  }
+
+  HealthGuard serial_guard;
+  const auto serial = MakeSoaEngine(spec, Opts(Precision::kFixed32));
+  serial->AttachHealthGuard(&serial_guard);
+  {
+    ScopedSatCounter sat(&serial_guard);
+    serial->Run(kSteps);
+  }
+  ASSERT_GT(serial_guard.SatEvents(), 0u);
+
+  for (const bool observed : {false, true}) {
+    HealthGuard guard;
+    const auto engine = MakeSoaEngine(spec, Opts(Precision::kFixed32));
+    engine->AttachHealthGuard(&guard);
+    ShardPhaseTimings timings(1);
+    RunTeam(engine.get(), kSteps, /*shards=*/1,
+            observed ? &timings : nullptr);
+    EXPECT_EQ(guard.SatEvents(), serial_guard.SatEvents())
+        << (observed ? "observed" : "plain");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -767,7 +803,7 @@ TEST(BatchManifestTest, ParsesJobsAndDefaults)
       "\n"
       "model=reaction_diffusion\n"
       "name=rd\n"
-      "exec=functional:double:simd:shards=4\n"
+      "exec=functional:double:shards=4\n"
       "priority=-2\n"
       "seed=7\n");
   ASSERT_EQ(jobs.size(), 2u);
@@ -777,12 +813,10 @@ TEST(BatchManifestTest, ParsesJobsAndDefaults)
   EXPECT_EQ(jobs[0].steps, 100u);
   EXPECT_EQ(jobs[0].exec.engine, "soa");  // no exec=: the default engine
   EXPECT_EQ(jobs[0].exec.precision, "");
-  EXPECT_EQ(jobs[0].exec.kernel_path, "auto");
   EXPECT_FALSE(jobs[0].has_seed);
   EXPECT_EQ(jobs[1].name, "rd");
   EXPECT_EQ(jobs[1].exec.engine, "functional");
   EXPECT_EQ(jobs[1].exec.precision, "double");
-  EXPECT_EQ(jobs[1].exec.kernel_path, "simd");
   EXPECT_EQ(jobs[1].exec.shards, 4);
   EXPECT_EQ(jobs[1].priority, -2);
   EXPECT_TRUE(jobs[1].has_seed);
@@ -796,8 +830,8 @@ TEST(BatchManifestTest, MalformedManifestsDie)
   EXPECT_DEATH(ParseManifest("model=heat\nsteps=abc\n"), "integer");
   EXPECT_DEATH(ParseManifest("model=heat\nexec=engine=gpu\n"),
                "unknown engine");
-  EXPECT_DEATH(ParseManifest("model=heat\nexec=kernel=turbo\n"),
-               "unknown kernel path");
+  EXPECT_DEATH(ParseManifest("model=heat\nexec=pin=turbo\n"),
+               "unknown pin mode");
   EXPECT_DEATH(ParseManifest("model=heat\nname=x\n\nmodel=heat\nname=x\n"),
                "duplicate job name");
   EXPECT_DEATH(ParseManifest("# only comments\n"), "no jobs");
@@ -813,7 +847,7 @@ TEST(BatchManifestTest, RemovedExecKeysAreRejected)
   // are unknown keys now, even with values the policy would accept.
   const char* const removed[] = {"engine=soa", "engine=double",
                                  "precision=double", "memory=hmc-int",
-                                 "kernel_path=simd", "shards=2"};
+                                 "kernel=simd", "shards=2"};
   for (const char* line : removed) {
     std::vector<JobSpecError> errors;
     const auto jobs = ParseManifestCollect(
@@ -829,34 +863,58 @@ TEST(BatchManifestTest, RemovedExecKeysAreRejected)
   }
 }
 
+TEST(BatchManifestTest, KernelSpellingsAndIgnoredSettingsAreRejected)
+{
+  // The SoA engine has one kernel, so kernel= and the bare kernel-path
+  // tokens are unknown; and a policy may not name a setting its engine
+  // would ignore (arch is Q16.16 only, only arch models memory).
+  const std::pair<const char*, const char*> cases[] = {
+      {"exec=soa:blocked", "unknown exec token 'blocked'"},
+      {"exec=simd", "unknown exec token 'simd'"},
+      {"exec=kernel=auto", "unknown exec key 'kernel'"},
+      {"exec=arch:double", "arch engine"},
+      {"exec=soa:hmc-int", "memory 'hmc-int'"},
+      {"exec=functional:hmc-ext", "memory 'hmc-ext'"},
+  };
+  for (const auto& [line, want] : cases) {
+    std::vector<JobSpecError> errors;
+    ParseManifestCollect(std::string("model=heat\n") + line + "\n",
+                         &errors);
+    ASSERT_EQ(errors.size(), 1u) << line;
+    EXPECT_EQ(errors[0].key, "exec") << line;
+    EXPECT_NE(errors[0].message.find(want), std::string::npos)
+        << errors[0].message;
+  }
+}
+
 TEST(BatchManifestTest, ExecKeyMergesOverFrontendDefaults)
 {
   // cenn_batch seeds every job from its --exec value; per-job exec=
   // keys override only the fields they mention.
   JobSpec defaults;
   std::string parse_error;
-  ASSERT_TRUE(
-      ParseExecPolicy("soa:double:simd", &defaults.exec, &parse_error));
+  ASSERT_TRUE(ParseExecPolicy("soa:double:pin=cores", &defaults.exec,
+                              &parse_error));
   const auto jobs = ParseManifest(
       "model=heat\n"
       "\n"
       "model=heat\nname=wide\nexec=shards=3\n"
       "\n"
-      "model=heat\nname=classic\nexec=functional:fixed:kernel=auto\n",
+      "model=heat\nname=classic\nexec=functional:fixed:pin=none\n",
       &defaults);
   ASSERT_EQ(jobs.size(), 3u);
 
   // Job 0: pure defaults.
-  EXPECT_EQ(FormatExecPolicy(jobs[0].exec), "soa:double:simd");
-  // Job 1: only shards overridden; engine/precision/path survive.
+  EXPECT_EQ(FormatExecPolicy(jobs[0].exec), "soa:double:pin=cores");
+  // Job 1: only shards overridden; engine/precision/pin survive.
   EXPECT_EQ(jobs[1].exec.engine, "soa");
   EXPECT_EQ(jobs[1].exec.precision, "double");
-  EXPECT_EQ(jobs[1].exec.kernel_path, "simd");
+  EXPECT_EQ(jobs[1].exec.pin, "cores");
   EXPECT_EQ(jobs[1].exec.shards, 3);
   // Job 2: every mentioned field overridden back.
   EXPECT_EQ(jobs[2].exec.engine, "functional");
   EXPECT_EQ(jobs[2].exec.precision, "fixed");
-  EXPECT_EQ(jobs[2].exec.kernel_path, "auto");
+  EXPECT_EQ(jobs[2].exec.pin, "none");
 }
 
 TEST(BatchManifestTest, CollectsEveryExecErrorWithLineNumbers)

@@ -357,7 +357,7 @@ TEST(ServeFuzz, RemovedExecKeysAreRejected)
   const std::pair<const char*, const char*> removed[] = {
       {"engine", "soa"},       {"engine", "double"},
       {"precision", "double"}, {"memory", "hmc-int"},
-      {"kernel_path", "simd"}, {"shards", "2"}};
+      {"kernel", "simd"},      {"shards", "2"}};
   for (const auto& [key, value] : removed) {
     const JsonValue r = Call(
         service, SubmitLine("t", SpecJson({{"model", "heat"}, {key, value}})));
@@ -366,6 +366,29 @@ TEST(ServeFuzz, RemovedExecKeysAreRejected)
     EXPECT_NE(r.GetString("message").find(std::string("key '") + key +
                                           "': unknown key"),
               std::string::npos)
+        << r.GetString("message");
+  }
+  EXPECT_EQ(service.Jobs().TotalCreated(), 0u);
+}
+
+TEST(ServeFuzz, KernelSpellingsAndIgnoredSettingsAreRejected)
+{
+  // The SoA engine has one kernel, so an exec naming a kernel path is
+  // invalid, and so is one naming a setting its engine would ignore.
+  SolverService service(BaseOptions(TestDir("exec_rules")));
+  const std::pair<const char*, const char*> cases[] = {
+      {"soa:blocked", "unknown exec token 'blocked'"},
+      {"simd", "unknown exec token 'simd'"},
+      {"soa:kernel=auto", "unknown exec key 'kernel'"},
+      {"arch:double", "arch engine"},
+      {"soa:hmc-int", "memory 'hmc-int'"}};
+  for (const auto& [exec, want] : cases) {
+    const JsonValue r = Call(
+        service,
+        SubmitLine("t", SpecJson({{"model", "heat"}, {"exec", exec}})));
+    EXPECT_FALSE(r.GetBool("ok", true)) << exec;
+    EXPECT_EQ(r.GetString("error"), "invalid") << exec;
+    EXPECT_NE(r.GetString("message").find(want), std::string::npos)
         << r.GetString("message");
   }
   EXPECT_EQ(service.Jobs().TotalCreated(), 0u);

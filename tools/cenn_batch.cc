@@ -22,14 +22,14 @@
  * that path. The exit code is 1 when any job ends failed or diverged.
  *
  * Execution policy: per-job `exec=` manifest keys refine the
- * frontend-level default given by --exec (e.g. --exec=soa:simd runs
- * every job on SIMD SoA kernels unless a job overrides a field).
+ * frontend-level default given by --exec (e.g. --exec=soa:double runs
+ * every job on the double SoA kernels unless a job overrides a field).
  * --threads is the *pool* width (jobs run concurrently); per-job band
  * shards come from the policy's shards= field.
  *
  * Examples:
  *   cenn_batch --manifest=jobs.txt --out=batch_out --threads=4
- *   cenn_batch --manifest=jobs.txt --out=simd --exec=soa:simd:shards=2
+ *   cenn_batch --manifest=jobs.txt --out=wide --exec=soa:shards=2
  *   cenn_batch --manifest=jobs.txt --out=batch_out --resume-from=batch_out
  *   cenn_batch --manifest=jobs.txt --out=sweep --csv=sweep/results.csv \
  *              --stats-out=sweep/stats.txt

@@ -10,10 +10,11 @@
  * Execution is selected by the unified policy (--exec, built through
  * util/exec_policy.h + runtime/engine_factory.h):
  *   soa         vectorized SoA kernels (double/fixed/float precision;
- *               the default, on the simd kernels)
+ *               the default; CENN_SIMD_ISA pins the vector ISA)
  *   functional  cell-by-cell reference engine (double/fixed precision;
  *               the only engine for --heun)
- *   arch        cycle-level accelerator simulation (fixed + timing)
+ *   arch        cycle-level accelerator simulation (fixed + timing;
+ *               the only engine with a memory system)
  * The band-shard count is the policy's shards= field.
  *
  * The driver itself is engine-agnostic: it steps a cenn::Engine
@@ -24,7 +25,7 @@
  * Examples:
  *   cenn_run --model=reaction_diffusion --steps=500 --exec=arch
  *   cenn_run --model=heat --exec=soa:fixed:shards=4
- *   cenn_run --model=fitzhugh_nagumo --exec=soa:double:simd:shards=8:pin=numa
+ *   cenn_run --model=fitzhugh_nagumo --exec=soa:double:shards=8:pin=numa
  *   cenn_run --model=poisson --steady --tolerance=1e-6
  *   cenn_run --model=gray_scott --steps=3000 --pgm=pattern.pgm
  */
@@ -38,7 +39,6 @@
 #include "arch/simulator.h"
 #include "core/solver.h"
 #include "health/health_guard.h"
-#include "kernels/kernel_path.h"
 #include "kernels/soa_simd.h"
 #include "lang/compiler.h"
 #include "lang/spec_dump.h"
@@ -396,13 +396,7 @@ RunMain(int argc, char** argv)
   } else {
     std::printf("\nengine %s (%s", engine->Kind(), exec.precision.c_str());
     if (exec.engine == "soa") {
-      KernelPath requested = KernelPath::kAuto;
-      ParseKernelPath(exec.kernel_path.c_str(), &requested);
-      const KernelPath resolved = ResolveKernelPath(requested);
-      std::printf(", %s kernels", KernelPathName(resolved));
-      if (resolved == KernelPath::kSimd) {
-        std::printf(" [%s]", SimdIsaName());
-      }
+      std::printf(", %s kernels", SimdIsaName());
     }
     std::printf("): %llu steps, t = %.4f\n",
                 static_cast<unsigned long long>(steps_taken),
