@@ -193,8 +193,8 @@ class Compiler
             rows_ = static_cast<std::size_t>(grid_->a);
             cols_ = static_cast<std::size_t>(grid_->b);
           } else {
-            rows_ = 64;
-            cols_ = 64;
+            rows_ = kDefaultGridSide;
+            cols_ = kDefaultGridSide;
           }
         }
         const Pos grid_pos = grid_ != nullptr ? grid_->pos : Pos{1, 1};

@@ -30,6 +30,9 @@
 
 namespace cenn::lang {
 
+/** Rows and cols of a scenario with no `grid` statement. */
+constexpr std::size_t kDefaultGridSide = 64;
+
 /** Instantiation parameters; rows/cols 0 = use the file's `grid`. */
 struct ScenarioConfig {
   std::size_t rows = 0;

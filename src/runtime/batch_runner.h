@@ -4,9 +4,12 @@
 /**
  * @file
  * BatchRunner — executes a manifest of solver scenarios across the
- * thread pool, one SolverSession per job, with durable per-job
- * artifacts and fault-tolerant retry so an interrupted or faulted
- * batch converges without recomputing finished work.
+ * thread pool, with durable per-job artifacts, so an interrupted or
+ * faulted batch converges without recomputing finished work. Each job
+ * runs through RunJobAttempts (runtime/job_runner.h), the one
+ * job-attempt loop serve uses too; the runner keeps the batch's own
+ * I/O: done markers and the resume short-circuit, fault plans, the
+ * pool, the CSV and the `runtime.batch.*` counters.
  *
  * Artifacts in the output directory, per job `<name>`:
  *   <name>.ckpt       latest checkpoint (periodic + on interruption)
@@ -19,20 +22,17 @@
  * `<metrics_dir>/<name>.metrics.jsonl`.
  *
  * Resume contract (docs/runtime.md): with `resume` set, a job with a
- * done marker is reported "cached" and not executed at all; a job
- * with only a checkpoint restores it and continues from the recorded
- * step. Because checkpoints are bit-exact and per-job seeds are
- * derived deterministically from (base_seed, manifest index), a
- * resumed batch converges to the same final states — byte-identical
- * checksums — as an uninterrupted run.
+ * well-formed done marker is reported "cached" and not executed at
+ * all (a torn or garbled marker counts as absent); a job with only a
+ * checkpoint restores it and continues from the recorded step.
+ * Because checkpoints are bit-exact and per-job seeds are derived
+ * deterministically from (base_seed, manifest index), a resumed batch
+ * converges to the same final states — byte-identical checksums — as
+ * an uninterrupted run.
  *
- * Fault tolerance (docs/robustness.md): with `max_retries` set, a job
- * that dies mid-run (a thrown FaultCrash) or whose attached
- * HealthGuard trips is rebuilt and retried — restoring the last good
- * auto-checkpoint when one exists — up to max_retries times, with
- * exponential backoff between attempts. Corrupt state is never
- * checkpointed (the session scans before it checkpoints), so a
- * recovered job's final checksum matches a fault-free run.
+ * Fault tolerance (docs/robustness.md) is the job-attempt loop's:
+ * crashes and guard trips retry from the last good checkpoint, and
+ * anything else a job throws fails only that job.
  */
 
 #include <cstdint>
@@ -43,6 +43,7 @@
 #include "health/fault_injector.h"
 #include "health/health_guard.h"
 #include "runtime/batch_manifest.h"
+#include "runtime/job_runner.h"
 
 namespace cenn {
 
@@ -80,7 +81,7 @@ struct BatchOptions {
 
   /**
    * Base delay before a retry; attempt k waits
-   * retry_backoff_ms << (k - 1) (0 = retry immediately).
+   * retry_backoff_ms << (k - 2) (0 = retry immediately).
    */
   int retry_backoff_ms = 0;
 
@@ -104,52 +105,6 @@ struct BatchOptions {
   HealthGuardConfig guard;
 };
 
-/** How one manifest job ended. */
-enum class JobStatus : std::uint8_t {
-  kOk = 0,          ///< reached target on the first attempt
-  kRetried = 1,     ///< reached target after a retry from scratch
-  kRecovered = 2,   ///< reached target after a checkpoint-restore retry
-  kInterrupted = 3, ///< stopped by the per-invocation step budget
-  kCached = 4,      ///< skipped via a done marker (resume)
-  kDiverged = 5,    ///< retries exhausted; last failure was a guard trip
-  kFailed = 6,      ///< retries exhausted; last failure was a crash
-};
-
-/** Returns "ok" / "retried" / ... / "failed". */
-const char* JobStatusName(JobStatus status);
-
-/** True for the statuses that should fail the batch (CLI exit 1). */
-bool JobStatusIsFailure(JobStatus status);
-
-/** Outcome of one manifest job. */
-struct JobResult {
-  std::string name;
-  std::string model;
-
-  /** Canonical execution-policy string (FormatExecPolicy). */
-  std::string exec;
-
-  JobStatus status = JobStatus::kOk;
-
-  /** Sessions built for this job (1 = no retries). */
-  int attempts = 1;
-
-  /** Engine step counter at job end (includes restored steps). */
-  std::uint64_t steps_done = 0;
-
-  /** Steps actually executed by this invocation (all attempts). */
-  std::uint64_t steps_executed = 0;
-
-  /** SolverSession::StateChecksum at job end. */
-  std::uint64_t checksum = 0;
-
-  /** Wall-clock milliseconds spent in this invocation (all attempts). */
-  double wall_ms = 0.0;
-
-  /** Final attempt's guard report (zeros when no guard attached). */
-  HealthReport health;
-};
-
 /** Runs a parsed manifest (see file comment). */
 class BatchRunner
 {
@@ -168,13 +123,6 @@ class BatchRunner
     static std::string ResultsCsv(const std::vector<JobResult>& results);
 
   private:
-    /**
-     * Executes one job synchronously on a pool worker, including its
-     * retry loop. `faults` is the job's fault plan (null = none).
-     */
-    JobResult RunOneJob(const BatchJobSpec& job, std::size_t index,
-                        FaultInjector::Plan* faults);
-
     std::vector<BatchJobSpec> jobs_;
     BatchOptions options_;
     std::unique_ptr<FaultInjector> injector_;  // null when no spec

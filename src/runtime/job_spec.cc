@@ -9,11 +9,8 @@
 
 namespace cenn {
 
-namespace {
-
-/** Parses a non-negative integer; false on any non-digit or overflow. */
 bool
-ParseU64Value(const std::string& value, std::uint64_t* out)
+ParseDecimalU64(const std::string& value, std::uint64_t* out)
 {
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   if (value.empty()) {
@@ -33,8 +30,6 @@ ParseU64Value(const std::string& value, std::uint64_t* out)
   *out = parsed;
   return true;
 }
-
-}  // namespace
 
 std::string
 FormatJobSpecError(const JobSpecError& error)
@@ -79,7 +74,7 @@ JobSpecBuilder::Apply(const std::string& key, const std::string& value,
   };
   auto apply_u64 = [&](std::uint64_t* out) {
     std::uint64_t parsed = 0;
-    if (!ParseU64Value(value, &parsed)) {
+    if (!ParseDecimalU64(value, &parsed)) {
       return fail("'" + value + "' is not a non-negative integer");
     }
     *out = parsed;
@@ -155,7 +150,7 @@ JobSpecBuilder::Apply(const std::string& key, const std::string& value,
     // Priorities may be negative; parse a leading '-' by hand.
     const bool neg = !value.empty() && value[0] == '-';
     std::uint64_t mag = 0;
-    if (!ParseU64Value(neg ? value.substr(1) : value, &mag)) {
+    if (!ParseDecimalU64(neg ? value.substr(1) : value, &mag)) {
       errors_.push_back({line, key, "'" + value + "' is not an integer"});
       return false;
     }

@@ -80,6 +80,10 @@ struct JobSpec {
   std::uint64_t checkpoint_every = 0;
 };
 
+/** Parses plain decimal digits into `*out`; false (and `*out`
+ *  untouched) on any other character or on uint64 overflow. */
+bool ParseDecimalU64(const std::string& value, std::uint64_t* out);
+
 /** One problem found while parsing or validating a spec. */
 struct JobSpecError {
   /** Manifest line number; 0 when there is no line (wire submits). */

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "lang/compiler.h"
+#include "lang/parser.h"
 #include "models/benchmark_model.h"
 
 namespace cenn {
@@ -56,6 +57,27 @@ ResolveModelSource(const JobSpec& spec, std::uint64_t seed)
   out.default_steps = result.scenario.default_steps;
   out.label = result.scenario.name;
   return out;
+}
+
+std::pair<std::size_t, std::size_t>
+JobGrid(const JobSpec& spec)
+{
+  // Scenarios take rows/cols from the spec only when both were given
+  // (lang::ScenarioConfig treats a lone zero as "use the file's grid").
+  if (!spec.model.empty() || (spec.has_rows && spec.has_cols)) {
+    return {spec.rows, spec.cols};
+  }
+  std::string source = spec.model_source;
+  std::string error;  // an unreadable file fails ValidateJobSpec
+  if (!spec.model_file.empty()) {
+    lang::ReadScenarioFile(spec.model_file, &source, &error);
+  }
+  for (const lang::Statement& s : lang::Parse(source).def.statements) {
+    if (s.kind == lang::Statement::Kind::kGrid) {
+      return {static_cast<std::size_t>(s.a), static_cast<std::size_t>(s.b)};
+    }
+  }
+  return {lang::kDefaultGridSide, lang::kDefaultGridSide};
 }
 
 }  // namespace cenn

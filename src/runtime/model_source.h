@@ -11,14 +11,15 @@
  * path downstream of this call.
  *
  * Resolution throws std::runtime_error instead of CENN_FATAL: the
- * serve job body is exception-fenced, and the batch runner converts
- * the exception into a failed job. A spec that passed ValidateJobSpec
- * only throws here for environmental reasons (the scenario file
- * changed or disappeared between submit and run).
+ * job-attempt loop (runtime/job_runner.h) fences it, so the job fails
+ * and the process goes on, in batch and serve alike. A spec that
+ * passed ValidateJobSpec only throws here for environmental reasons
+ * (the scenario file changed or disappeared between submit and run).
  */
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "program/solver_program.h"
 #include "runtime/job_spec.h"
@@ -44,6 +45,13 @@ struct ResolvedModel {
  * Throws std::runtime_error with a formatted diagnostic on failure.
  */
 ResolvedModel ResolveModelSource(const JobSpec& spec, std::uint64_t seed);
+
+/**
+ * The rows and cols ResolveModelSource builds `spec` at, without
+ * building it: explicit rows= and cols= (a scenario needs both), else
+ * the scenario's `grid` statement, else the compiler's default.
+ */
+std::pair<std::size_t, std::size_t> JobGrid(const JobSpec& spec);
 
 }  // namespace cenn
 

@@ -4,39 +4,6 @@
 
 namespace cenn {
 
-const char*
-ServeJobStatusName(ServeJobStatus status)
-{
-  switch (status) {
-    case ServeJobStatus::kQueued:
-      return "queued";
-    case ServeJobStatus::kRunning:
-      return "running";
-    case ServeJobStatus::kOk:
-      return "ok";
-    case ServeJobStatus::kRetried:
-      return "retried";
-    case ServeJobStatus::kRecovered:
-      return "recovered";
-    case ServeJobStatus::kInterrupted:
-      return "interrupted";
-    case ServeJobStatus::kCancelled:
-      return "cancelled";
-    case ServeJobStatus::kDiverged:
-      return "diverged";
-    case ServeJobStatus::kFailed:
-      return "failed";
-  }
-  return "unknown";
-}
-
-bool
-ServeJobStatusIsLive(ServeJobStatus status)
-{
-  return status == ServeJobStatus::kQueued ||
-         status == ServeJobStatus::kRunning;
-}
-
 ServeJob*
 JobRegistry::Create(const std::string& tenant, JobSpec spec)
 {
@@ -74,12 +41,12 @@ JobRegistry::Retract(const std::string& id)
   ServeJob* job = it->second;
   by_id_.erase(it);
   std::lock_guard<std::mutex> job_lock(job->mu);  // registry before job
-  CENN_ASSERT(job->status == ServeJobStatus::kQueued,
+  CENN_ASSERT(job->status == JobStatus::kQueued,
               "JobRegistry::Retract: job ", id, " already dispatched");
-  job->status = ServeJobStatus::kCancelled;
-  job->message = "retracted: pool submit failed";
+  job->status = JobStatus::kCancelled;
+  job->result.message = "retracted: pool submit failed";
   job->cv.notify_all();
-  NoteTransition(ServeJobStatus::kQueued, ServeJobStatus::kCancelled);
+  NoteTransition(JobStatus::kQueued, JobStatus::kCancelled);
 }
 
 std::vector<ServeJob*>
@@ -102,11 +69,11 @@ JobRegistry::TotalCreated() const
 }
 
 bool
-JobRegistry::Transition(ServeJob* job, ServeJobStatus status)
+JobRegistry::Transition(ServeJob* job, JobStatus status)
 {
   std::lock_guard<std::mutex> lock(job->mu);
-  const ServeJobStatus from = job->status;
-  if (!ServeJobStatusIsLive(from) || from == status) {
+  const JobStatus from = job->status;
+  if (!JobStatusIsLive(from) || from == status) {
     return false;  // terminal states are final; self-moves are no-ops
   }
   job->status = status;
@@ -116,14 +83,14 @@ JobRegistry::Transition(ServeJob* job, ServeJobStatus status)
 }
 
 void
-JobRegistry::NoteTransition(ServeJobStatus from, ServeJobStatus to)
+JobRegistry::NoteTransition(JobStatus from, JobStatus to)
 {
-  if (from == ServeJobStatus::kQueued) {
+  if (from == JobStatus::kQueued) {
     queued_.fetch_sub(1);
-  } else if (from == ServeJobStatus::kRunning) {
+  } else if (from == JobStatus::kRunning) {
     running_.fetch_sub(1);
   }
-  if (to == ServeJobStatus::kRunning) {
+  if (to == JobStatus::kRunning) {
     running_.fetch_add(1);
   }
 }

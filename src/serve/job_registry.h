@@ -10,6 +10,9 @@
  * dies (completed jobs stay queryable — a client may ask for a result
  * long after the run finished).
  *
+ * A job's status is the runtime's JobStatus, shared with batch:
+ * queued, running, then its JobResult's terminal status.
+ *
  * Synchronization is two-level:
  *  - the registry mutex guards the id map (create / find / list);
  *  - each ServeJob carries its own mutex + condvar guarding the
@@ -30,34 +33,12 @@
 
 #include "health/fault_injector.h"
 #include "runtime/job_queue.h"
+#include "runtime/job_runner.h"
 #include "runtime/job_spec.h"
 
 namespace cenn {
 
 class SolverSession;
-
-/**
- * Lifecycle of one served job. Unlike the batch JobStatus there are
- * live states (queued / running) and an explicit cancelled terminal —
- * a server reports jobs while they run, a batch only afterwards.
- */
-enum class ServeJobStatus : std::uint8_t {
-  kQueued = 0,       ///< admitted, waiting for a pool worker
-  kRunning = 1,      ///< a worker is stepping the session
-  kOk = 2,           ///< reached target on the first attempt
-  kRetried = 3,      ///< reached target after a from-scratch retry
-  kRecovered = 4,    ///< reached target after a checkpoint-restore retry
-  kInterrupted = 5,  ///< checkpointed and stopped by a drain
-  kCancelled = 6,    ///< stopped by a cancel request
-  kDiverged = 7,     ///< retries exhausted; last failure was a guard trip
-  kFailed = 8,       ///< retries exhausted; last failure was a crash
-};
-
-/** Returns "queued" / "running" / ... / "failed". */
-const char* ServeJobStatusName(ServeJobStatus status);
-
-/** True for the states a job can still leave. */
-bool ServeJobStatusIsLive(ServeJobStatus status);
 
 /** One accepted job (see file comment for locking). */
 struct ServeJob {
@@ -81,14 +62,15 @@ struct ServeJob {
   mutable std::mutex mu;
   mutable std::condition_variable cv;
 
-  ServeJobStatus status = ServeJobStatus::kQueued;
+  /** Lifecycle: queued, running, then one terminal status. */
+  JobStatus status = JobStatus::kQueued;
   bool cancel_requested = false;
 
   /** Order this job started on a worker (1-based; 0 = never started). */
   std::uint64_t dispatch_seq = 0;
 
+  /** Sessions built so far (the current attempt while running). */
   int attempts = 0;
-  std::uint64_t steps_done = 0;
 
   /**
    * Progress mirror for the status op: the worker publishes the
@@ -96,12 +78,9 @@ struct ServeJob {
    * never touch a live engine (which would race with stepping).
    */
   std::atomic<std::uint64_t> live_steps{0};
-  std::uint64_t steps_executed = 0;
-  std::uint64_t checksum = 0;
-  double wall_ms = 0.0;
 
-  /** Failure detail for terminal error states ("" otherwise). */
-  std::string message;
+  /** The terminal result; meaningful once status is terminal. */
+  JobResult result;
 
   /**
    * The live session while a worker runs the job (null otherwise).
@@ -163,14 +142,14 @@ class JobRegistry
      * ignored (first writer wins). Returns true when this call
      * performed the transition.
      */
-    bool Transition(ServeJob* job, ServeJobStatus status);
+    bool Transition(ServeJob* job, JobStatus status);
 
     /**
      * Tally maintenance for callers that performed the `from` ->
      * `to` move themselves under the job lock (the service finalizer,
      * which writes result fields and the status atomically).
      */
-    void NoteTransition(ServeJobStatus from, ServeJobStatus to);
+    void NoteTransition(JobStatus from, JobStatus to);
 
   private:
     mutable std::mutex mu_;

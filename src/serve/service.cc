@@ -1,13 +1,12 @@
 #include "serve/service.h"
 
+#include <algorithm>
 #include <chrono>
-#include <exception>
 #include <filesystem>
 #include <thread>
 
 #include "lut/lut_store.h"
-#include "models/benchmark_model.h"
-#include "runtime/engine_factory.h"
+#include "runtime/job_runner.h"
 #include "runtime/model_source.h"
 #include "runtime/solver_session.h"
 #include "serve/json.h"
@@ -88,11 +87,75 @@ LookupJob(JobRegistry& jobs, const JsonValue& request, const std::string& op,
   return job;
 }
 
-/** Why the latest attempt did not complete (mirrors the batch runner). */
-enum class AttemptFailure : std::uint8_t {
-  kNone = 0,
-  kCrash = 1,
-  kGuardTrip = 2,
+/** The result of a job that ends before it runs. */
+JobResult
+NotRunResult(JobStatus status, const char* message)
+{
+  JobResult result;
+  result.status = status;
+  result.attempts = 0;
+  result.message = message;
+  return result;
+}
+
+/**
+ * Serve's side of a running job: publishes the session under the job
+ * lock (passing on a cancel or pause that arrived early), parks the
+ * worker for a snapshot, reports a drain and mirrors live steps.
+ */
+class ServeJobControl final : public JobControl
+{
+  public:
+    ServeJobControl(ServeJob* job, const std::atomic<bool>* draining)
+        : job_(job), draining_(draining)
+    {
+    }
+
+    void
+    Publish(SolverSession* session, int attempt) override
+    {
+      std::lock_guard<std::mutex> lock(job_->mu);
+      job_->session = session;
+      job_->attempts = attempt;
+      if (session == nullptr) {
+        return;
+      }
+      if (job_->cancel_requested) {
+        session->RequestCancel();
+      }
+      if (job_->pause_holders > 0) {
+        session->RequestPause();  // a snapshot waiter arrived early
+      }
+    }
+
+    bool StopRequested() override { return draining_->load(); }
+
+    void
+    Park() override
+    {
+      std::unique_lock<std::mutex> lock(job_->mu);
+      if (job_->pause_holders == 0) {
+        return;  // a drain's pause, or a snapshot that already gave up
+      }
+      job_->paused = true;
+      job_->cv.notify_all();
+      job_->cv.wait(lock, [this] {
+        return job_->pause_holders == 0 || job_->cancel_requested ||
+               draining_->load();
+      });
+      job_->paused = false;
+      job_->cv.notify_all();
+    }
+
+    void
+    Progress(std::uint64_t steps) override
+    {
+      job_->live_steps.store(steps, std::memory_order_relaxed);
+    }
+
+  private:
+    ServeJob* job_;
+    const std::atomic<bool>* draining_;
 };
 
 }  // namespace
@@ -336,13 +399,27 @@ SolverService::HandleSubmit(const JsonValue& request)
   errors.insert(errors.end(), builder.Errors().begin(),
                 builder.Errors().end());
   ValidateJobSpec(spec, &errors);
-  // Divide instead of multiplying: rows * cols can wrap size_t and
-  // sneak a gigantic grid past the limit.
-  if (options_.max_cells > 0 && spec.rows > 0 &&
-      spec.cols > options_.max_cells / spec.rows) {
+  // The limit applies to the grid the job will run: a scenario without
+  // rows= and cols= runs at its own `grid`. Divide instead of
+  // multiplying: rows * cols can wrap size_t and sneak a gigantic grid
+  // past the limit.
+  const auto [rows, cols] = JobGrid(spec);
+  if (options_.max_cells > 0 && rows > 0 &&
+      cols > options_.max_cells / rows) {
     errors.push_back({0, "rows",
-                      "rows*cols exceeds the server limit of " +
+                      "rows*cols " + std::to_string(rows) + "x" +
+                          std::to_string(cols) +
+                          " exceeds the server limit of " +
                           std::to_string(options_.max_cells) + " cells"});
+  }
+  // One worker thread per shard: bound a client's ask by the host.
+  const int max_shards =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  if (spec.exec.shards > max_shards) {
+    errors.push_back({0, "exec",
+                      "shards=" + std::to_string(spec.exec.shards) +
+                          " exceeds the server's " +
+                          std::to_string(max_shards) + " hardware threads"});
   }
   if (options_.max_steps > 0 && spec.steps > options_.max_steps) {
     errors.push_back({0, "steps",
@@ -429,7 +506,7 @@ SolverService::HandleStatus(const JsonValue& request)
     return response;
   }
   std::lock_guard<std::mutex> lock(job->mu);
-  std::uint64_t steps_done = job->steps_done;
+  std::uint64_t steps_done = job->result.steps_done;
   if (job->session != nullptr) {
     // Live progress, mirrored at slice boundaries — never read the
     // engine itself while a worker may be stepping it.
@@ -439,14 +516,10 @@ SolverService::HandleStatus(const JsonValue& request)
       .String("job", job->id)
       .String("tenant", job->tenant)
       .String("name", job->spec.name)
-      .String("model", !job->spec.model.empty()
-                           ? job->spec.model
-                           : (!job->spec.model_file.empty()
-                                  ? "file:" + job->spec.model_file
-                                  : std::string("inline")))
+      .String("model", JobDisplayModel(job->spec))
       .String("exec", FormatExecPolicy(job->spec.exec))
-      .String("status", ServeJobStatusName(job->status))
-      .Bool("done", !ServeJobStatusIsLive(job->status))
+      .String("status", JobStatusName(job->status))
+      .Bool("done", !JobStatusIsLive(job->status))
       .Int("attempts", job->attempts)
       .Int("priority", job->spec.priority)
       .Int("dispatch_seq", static_cast<std::int64_t>(job->dispatch_seq))
@@ -478,27 +551,28 @@ SolverService::HandleResult(const JsonValue& request)
   std::unique_lock<std::mutex> lock(job->mu);
   if (wait) {
     job->cv.wait_for(lock, timeout, [job] {
-      return !ServeJobStatusIsLive(job->status);
+      return !JobStatusIsLive(job->status);
     });
   }
-  if (ServeJobStatusIsLive(job->status)) {
+  if (JobStatusIsLive(job->status)) {
     return ErrorResponse("result", ServeErrorCode::kBusy,
                          "job '" + job->id + "' is still " +
-                             ServeJobStatusName(job->status),
+                             JobStatusName(job->status),
                          options_.retry_after_ms);
   }
+  const JobResult& result = job->result;
   JsonWriter w = OkResponse("result");
   w.String("job", job->id)
       .String("tenant", job->tenant)
       .String("name", job->spec.name)
-      .String("status", ServeJobStatusName(job->status))
+      .String("status", JobStatusName(job->status))
       .Int("attempts", job->attempts)
-      .U64Str("steps_done", job->steps_done)
-      .U64Str("steps_executed", job->steps_executed)
-      .U64Str("checksum", job->checksum)
-      .Number("wall_ms", job->wall_ms);
-  if (!job->message.empty()) {
-    w.String("message", job->message);
+      .U64Str("steps_done", result.steps_done)
+      .U64Str("steps_executed", result.steps_executed)
+      .U64Str("checksum", result.checksum)
+      .Number("wall_ms", result.wall_ms);
+  if (!result.message.empty()) {
+    w.String("message", result.message);
   }
   return w.Finish();
 }
@@ -515,15 +589,15 @@ SolverService::HandleCancel(const JsonValue& request)
   JobId pool_id = 0;
   {
     std::lock_guard<std::mutex> lock(job->mu);
-    if (!ServeJobStatusIsLive(job->status)) {
+    if (!JobStatusIsLive(job->status)) {
       return OkResponse("cancel")
           .String("job", job->id)
           .Bool("cancelled", false)
-          .String("status", ServeJobStatusName(job->status))
+          .String("status", JobStatusName(job->status))
           .Finish();
     }
     job->cancel_requested = true;
-    was_queued = job->status == ServeJobStatus::kQueued;
+    was_queued = job->status == JobStatus::kQueued;
     pool_id = job->pool_id;
     if (job->session != nullptr) {
       job->session->RequestCancel();
@@ -532,8 +606,8 @@ SolverService::HandleCancel(const JsonValue& request)
   }
   if (was_queued && pool_->Cancel(pool_id)) {
     // The closure will never run; this thread finalizes.
-    Finalize(job, ServeJobStatus::kCancelled, nullptr,
-             "cancelled before dispatch");
+    Finalize(job,
+             NotRunResult(JobStatus::kCancelled, "cancelled before dispatch"));
   }
   return OkResponse("cancel")
       .String("job", job->id)
@@ -557,12 +631,12 @@ SolverService::HandleSnapshot(const JsonValue& request)
                         : -1;
 
   std::unique_lock<std::mutex> lock(job->mu);
-  if (job->status == ServeJobStatus::kQueued) {
+  if (job->status == JobStatus::kQueued) {
     return ErrorResponse("snapshot", ServeErrorCode::kBusy,
                          "job '" + job->id + "' has not started",
                          options_.retry_after_ms);
   }
-  if (!ServeJobStatusIsLive(job->status)) {
+  if (!JobStatusIsLive(job->status)) {
     return ErrorResponse("snapshot", ServeErrorCode::kInvalid,
                          "job '" + job->id +
                              "' already finished; use \"result\"");
@@ -580,7 +654,7 @@ SolverService::HandleSnapshot(const JsonValue& request)
   job->cv.notify_all();
   job->cv.wait_for(lock, kPauseWait, [job] {
     return job->paused || job->session == nullptr ||
-           !ServeJobStatusIsLive(job->status);
+           !JobStatusIsLive(job->status);
   });
   if (job->paused && job->session != nullptr) {
     const int layers = job->session->Backend().Spec().NumLayers();
@@ -638,311 +712,91 @@ SolverService::HandleStats()
 }
 
 void
-SolverService::Finalize(ServeJob* job, ServeJobStatus status,
-                        SolverSession* session, const std::string& message)
+SolverService::Finalize(ServeJob* job, const JobResult& result)
 {
-  ServeJobStatus from;
+  JobStatus from;
   {
     std::lock_guard<std::mutex> lock(job->mu);
-    if (!ServeJobStatusIsLive(job->status)) {
+    if (!JobStatusIsLive(job->status)) {
       return;  // first writer won
     }
     from = job->status;
-    if (session != nullptr) {
-      job->steps_done = session->StepsDone();
-      job->steps_executed += session->StepsExecuted();
-      job->checksum = session->StateChecksum();
-    }
-    job->message = message;
+    job->result = result;
+    job->attempts = result.attempts;
     job->session = nullptr;
-    job->status = status;
+    job->status = result.status;
     job->cv.notify_all();
   }
-  jobs_.NoteTransition(from, status);
+  jobs_.NoteTransition(from, result.status);
 
   TenantCounters* tenant = TenantStats(job->tenant);
-  switch (status) {
-    case ServeJobStatus::kOk:
-      counters_.completed.fetch_add(1);
-      tenant->completed.fetch_add(1);
-      break;
-    case ServeJobStatus::kRetried:
-    case ServeJobStatus::kRecovered:
-      counters_.completed.fetch_add(1);
+  if (JobStatusIsSuccess(result.status)) {
+    counters_.completed.fetch_add(1);
+    tenant->completed.fetch_add(1);
+    if (result.attempts > 1) {
       counters_.recovered.fetch_add(1);
-      tenant->completed.fetch_add(1);
-      break;
-    case ServeJobStatus::kCancelled:
-      counters_.cancelled.fetch_add(1);
-      break;
-    case ServeJobStatus::kInterrupted:
-      counters_.interrupted.fetch_add(1);
-      break;
-    case ServeJobStatus::kDiverged:
-    case ServeJobStatus::kFailed:
-      counters_.failed.fetch_add(1);
-      tenant->failed.fetch_add(1);
-      break;
-    case ServeJobStatus::kQueued:
-    case ServeJobStatus::kRunning:
-      break;  // unreachable: Finalize only moves to terminals
+    }
+  } else if (JobStatusIsFailure(result.status)) {
+    counters_.failed.fetch_add(1);
+    tenant->failed.fetch_add(1);
+  } else if (result.status == JobStatus::kCancelled) {
+    counters_.cancelled.fetch_add(1);
+  } else if (result.status == JobStatus::kInterrupted) {
+    counters_.interrupted.fetch_add(1);
   }
-  if (job->attempts > 1) {
-    counters_.retries.fetch_add(static_cast<std::uint64_t>(job->attempts - 1));
+  if (result.attempts > 1) {
+    counters_.retries.fetch_add(
+        static_cast<std::uint64_t>(result.attempts - 1));
   }
-  counters_.steps_executed.fetch_add(job->steps_executed);
+  counters_.steps_executed.fetch_add(result.steps_executed);
   if (job->injector != nullptr) {
     counters_.faults_injected.fetch_add(job->injector->TotalFired());
   }
   admission_.Release(job->tenant);
   if (metrics_ != nullptr) {
-    metrics_->SampleNow("job_" + std::string(ServeJobStatusName(status)));
+    metrics_->SampleNow("job_" + std::string(JobStatusName(result.status)));
   }
 }
 
 void
 SolverService::RunJob(ServeJob* job)
 {
-  const auto start = std::chrono::steady_clock::now();
-  const auto record_wall = [&start, job] {
-    std::lock_guard<std::mutex> lock(job->mu);
-    job->wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  };
-
   bool cancelled_before_start = false;
   {
     std::lock_guard<std::mutex> lock(job->mu);
     cancelled_before_start = job->cancel_requested;
   }
   if (cancelled_before_start) {
-    Finalize(job, ServeJobStatus::kCancelled, nullptr,
-             "cancelled before dispatch");
+    Finalize(job,
+             NotRunResult(JobStatus::kCancelled, "cancelled before dispatch"));
     return;
   }
   if (draining_.load()) {
-    Finalize(job, ServeJobStatus::kInterrupted, nullptr,
-             "queue flushed at drain");
+    Finalize(job,
+             NotRunResult(JobStatus::kInterrupted, "queue flushed at drain"));
     return;
   }
 
-  jobs_.Transition(job, ServeJobStatus::kRunning);
+  jobs_.Transition(job, JobStatus::kRunning);
   {
     std::lock_guard<std::mutex> lock(job->mu);
     job->dispatch_seq = dispatch_seq_.fetch_add(1) + 1;
   }
 
-  const JobSpec& spec = job->spec;
-  const std::string ckpt_path = options_.work_dir + "/" + job->id + ".ckpt";
-
-  HealthGuard guard(options_.guard);
-  const int max_attempts = 1 + options_.max_retries;
-  bool restored_any = false;
-  AttemptFailure failure = AttemptFailure::kNone;
-  std::string failure_detail;
-  // Registry before session: each attempt replaces the session first
-  // so a dying session's stats settle against a live registry.
-  std::unique_ptr<StatRegistry> job_registry;
-  std::unique_ptr<SolverSession> session;
-
-  // Everything that builds or steps a model can throw — bad_alloc on
-  // a huge grid, length_error from a container, checkpoint I/O — and
-  // this closure is the last frame before std::terminate would take
-  // the whole multi-tenant server down. Fence the job body: an
-  // unexpected exception fails this job, never the process. The
-  // session outlives the try block, so job->session is still cleared
-  // (by Finalize, under the job lock) before the object is destroyed.
-  try {
-    // Unseeded jobs derive an independent stream from (base_seed,
-    // submission index) — the same scheme as the batch runner, so a
-    // seeded serve job and a seeded batch job are bit-identical.
-    // Scenario specs (model_file= / model_source=) compile here, on
-    // the worker; ResolveModelSource throws into this fence on
-    // environmental failures (e.g. the file vanished since submit).
-    const std::uint64_t seed =
-        spec.has_seed ? spec.seed
-                      : Rng(options_.base_seed).Split(job->index).NextU64();
-    const ResolvedModel resolved = ResolveModelSource(spec, seed);
-    const std::uint64_t target =
-        spec.steps > 0 ? spec.steps : resolved.default_steps;
-    const SolverProgram& program = resolved.program;
-
-    SessionConfig sc;
-    sc.name = spec.name;
-    sc.exec = spec.exec;
-    sc.target_steps = target;
-    sc.checkpoint_every = spec.checkpoint_every > 0
-                              ? spec.checkpoint_every
-                              : options_.checkpoint_every;
-    sc.checkpoint_path = ckpt_path;
-    if (sc.checkpoint_every > 0 && sc.checkpoint_every < sc.slice_steps) {
-      sc.slice_steps = sc.checkpoint_every;
-    }
-    FaultInjector::Plan* plan = job->plan;
-    sc.post_slice_hook = [job, plan](Engine& engine) {
-      if (plan != nullptr) {
-        plan->FireDue(engine);
-      }
-      job->live_steps.store(engine.Steps(), std::memory_order_relaxed);
-    };
-
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      if (attempt > 1 && options_.retry_backoff_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            static_cast<std::int64_t>(options_.retry_backoff_ms)
-            << (attempt - 2)));
-      }
-      if (draining_.load()) {
-        // Between attempts there is no healthy session to checkpoint;
-        // the last good checkpoint (if any) is already on disk.
-        record_wall();
-        Finalize(job, ServeJobStatus::kInterrupted, session.get(),
-                 "drained between attempts");
-        return;
-      }
-
-      guard.Reset();
-      {
-        std::lock_guard<std::mutex> lock(job->mu);
-        if (session != nullptr) {
-          // Bank the dying attempt's work before the final session's
-          // contribution is added by Finalize.
-          job->steps_executed += session->StepsExecuted();
-        }
-        job->session = nullptr;  // unpublish before destruction
-        job->attempts = attempt;
-      }
-      session.reset();
-      job_registry = std::make_unique<StatRegistry>();
-      session =
-          std::make_unique<SolverSession>(BuildEngine(program, spec.exec), sc);
-      if (options_.guard_enabled) {
-        session->Backend().AttachHealthGuard(&guard);
-      }
-      session->BindStats(job_registry.get());
-
-      // Retries restore the last good checkpoint (absent file = start
-      // over; faults are transient so that still converges).
-      if (attempt > 1 && session->TryRestoreFromFile(ckpt_path)) {
-        restored_any = true;
-      }
-      job->live_steps.store(session->StepsDone(), std::memory_order_relaxed);
-
-      {
-        std::lock_guard<std::mutex> lock(job->mu);
-        job->session = session.get();
-        if (job->cancel_requested) {
-          session->RequestCancel();
-        }
-        if (job->pause_holders > 0) {
-          session->RequestPause();  // a snapshot waiter arrived early
-        }
-      }
-
-      bool attempt_over = false;
-      while (!attempt_over) {
-        if (draining_.load()) {
-          if (session->StepsDone() > 0) {
-            session->SaveCheckpoint();
-          }
-          record_wall();
-          Finalize(job, ServeJobStatus::kInterrupted, session.get(),
-                   "checkpointed at drain");
-          return;
-        }
-        if (session->ReachedTarget()) {
-          failure = AttemptFailure::kNone;
-          break;
-        }
-        try {
-          session->StepN(target - session->StepsDone());
-        } catch (const FaultCrash& crash) {
-          failure = AttemptFailure::kCrash;
-          failure_detail = "simulated crash at step " +
-                           std::to_string(crash.step) + " (attempt " +
-                           std::to_string(attempt) + "/" +
-                           std::to_string(max_attempts) + ")";
-          CENN_WARN("serve job '", job->id, "': ", failure_detail);
-          attempt_over = true;
-          continue;
-        }
-
-        switch (session->State()) {
-          case SessionState::kDone:
-            failure = AttemptFailure::kNone;
-            attempt_over = true;
-            break;
-          case SessionState::kFaulted:
-            failure = AttemptFailure::kGuardTrip;
-            failure_detail = "health guard tripped — " + guard.Summary() +
-                             " (attempt " + std::to_string(attempt) + "/" +
-                             std::to_string(max_attempts) + ")";
-            CENN_WARN("serve job '", job->id, "': ", failure_detail);
-            attempt_over = true;
-            break;
-          case SessionState::kCancelled:
-            record_wall();
-            Finalize(job, ServeJobStatus::kCancelled, session.get(),
-                     "cancelled while running");
-            return;
-          case SessionState::kPaused: {
-            std::unique_lock<std::mutex> lock(job->mu);
-            if (job->pause_holders > 0) {
-              job->paused = true;
-              job->cv.notify_all();
-              job->cv.wait(lock, [this, job] {
-                return job->pause_holders == 0 || job->cancel_requested ||
-                       draining_.load();
-              });
-              job->paused = false;
-              job->cv.notify_all();
-            }
-            lock.unlock();
-            // Cancel and drain are re-checked at the loop top; a pause
-            // with no holder (drain raced a finished snapshot) simply
-            // resumes.
-            session->Resume();
-            break;
-          }
-          case SessionState::kIdle:
-          case SessionState::kRunning:
-            break;  // keep stepping
-        }
-      }
-
-      if (failure == AttemptFailure::kNone) {
-        break;
-      }
-    }
-  } catch (const std::exception& e) {
-    CENN_WARN("serve job '", job->id, "': unexpected exception: ", e.what());
-    record_wall();
-    Finalize(job, ServeJobStatus::kFailed, nullptr,
-             std::string("internal error: ") + e.what());
-    return;
-  } catch (...) {
-    CENN_WARN("serve job '", job->id, "': unexpected non-std exception");
-    record_wall();
-    Finalize(job, ServeJobStatus::kFailed, nullptr,
-             "internal error: unknown exception");
-    return;
-  }
-
-  ServeJobStatus status;
-  if (failure == AttemptFailure::kCrash) {
-    status = ServeJobStatus::kFailed;
-  } else if (failure == AttemptFailure::kGuardTrip) {
-    status = ServeJobStatus::kDiverged;
-  } else if (job->attempts == 1) {
-    status = ServeJobStatus::kOk;
-  } else {
-    status = restored_any ? ServeJobStatus::kRecovered
-                          : ServeJobStatus::kRetried;
-  }
-  record_wall();
-  Finalize(job, status, session.get(),
-           failure == AttemptFailure::kNone ? "" : failure_detail);
+  // Unseeded jobs split their seed by submission index, the way batch
+  // splits by manifest index.
+  JobRunOptions run;
+  run.base_seed = options_.base_seed;
+  run.index = job->index;
+  run.checkpoint_path = options_.work_dir + "/" + job->id + ".ckpt";
+  run.checkpoint_every = options_.checkpoint_every;
+  run.max_retries = options_.max_retries;
+  run.retry_backoff_ms = options_.retry_backoff_ms;
+  run.guard_enabled = options_.guard_enabled;
+  run.guard = options_.guard;
+  run.faults = job->plan;
+  ServeJobControl control(job, &draining_);
+  Finalize(job, RunJobAttempts(job->spec, run, &control));
 }
 
 void
@@ -960,18 +814,18 @@ SolverService::Drain()
     JobId pool_id = 0;
     {
       std::lock_guard<std::mutex> lock(job->mu);
-      if (job->status == ServeJobStatus::kQueued) {
+      if (job->status == JobStatus::kQueued) {
         queued = true;
         pool_id = job->pool_id;
-      } else if (job->status == ServeJobStatus::kRunning &&
+      } else if (job->status == JobStatus::kRunning &&
                  job->session != nullptr) {
         job->session->RequestPause();
       }
       job->cv.notify_all();  // wake pause-parked workers and waiters
     }
     if (queued && pool_->Cancel(pool_id)) {
-      Finalize(job, ServeJobStatus::kInterrupted, nullptr,
-               "queue flushed at drain");
+      Finalize(job, NotRunResult(JobStatus::kInterrupted,
+                                 "queue flushed at drain"));
     }
   }
 

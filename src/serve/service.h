@@ -8,12 +8,14 @@
  *
  * One service owns one ThreadPool, one JobRegistry and one
  * AdmissionController; each accepted job runs as one pool closure
- * that builds a per-job SolverSession (with its own StatRegistry and
- * HealthGuard) and drives it with the same fault-tolerant retry loop
- * as the batch runner — a crash or guard trip rebuilds the session,
- * restores the last good checkpoint from the work dir, and retries up
- * to max_retries times. A job that cannot recover reports "diverged"
- * or "failed"; the server itself never goes down with it.
+ * that calls RunJobAttempts (runtime/job_runner.h), the job-attempt
+ * loop the batch runner uses too: a crash or guard trip rebuilds the
+ * session, restores the last good checkpoint from the work dir, and
+ * retries up to max_retries times. A job that cannot recover reports
+ * "diverged" or "failed"; the server itself never goes down with it.
+ * The service keeps its own I/O: admission, the registry, the wire,
+ * cancel and drain before dispatch, and a JobControl that publishes
+ * the live session to the status, snapshot, cancel and drain paths.
  *
  * The entry point is HandleLine: one cenn.serve.v1 request line in,
  * one response line out, callable from any number of transport
@@ -199,16 +201,15 @@ class SolverService
     std::string HandleStats();
     ///@}
 
-    /** The pool closure: runs one job's retry loop to a terminal. */
+    /** The pool closure: runs one job to a terminal status. */
     void RunJob(ServeJob* job);
 
     /**
-     * Moves `job` to terminal `status` (first writer wins), fills the
-     * result fields, releases admission and bumps the terminal
-     * counters. `session` may be null (job never ran).
+     * Moves `job` to `result.status`, a terminal status (first writer
+     * wins), stores the result, releases admission and bumps the
+     * terminal counters.
      */
-    void Finalize(ServeJob* job, ServeJobStatus status,
-                  SolverSession* session, const std::string& message);
+    void Finalize(ServeJob* job, const JobResult& result);
 
     ServiceOptions options_;
 

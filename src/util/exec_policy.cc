@@ -165,6 +165,19 @@ ParseExecPolicy(const std::string& text, ExecPolicy* out, std::string* error)
     }
   }
 
+  // A switched engine drops the inherited fields it cannot take; a
+  // field the text names is left for ValidateExecPolicy to judge.
+  if (seen.count("engine") != 0) {
+    if (seen.count("memory") == 0 && policy.engine != "arch") {
+      policy.memory = "ddr3";
+    }
+    if (seen.count("precision") == 0 &&
+        ((policy.engine == "arch" && policy.precision != "fixed") ||
+         (policy.engine != "soa" && policy.precision == "float"))) {
+      policy.precision.clear();  // the engine default
+    }
+  }
+
   *out = policy;
   return true;
 }

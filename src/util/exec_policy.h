@@ -57,10 +57,13 @@ struct ExecPolicy {
 /**
  * Parses the grammar above into `*out`, overriding only the fields
  * the text mentions (merge semantics: seed `*out` with defaults or a
- * lower-precedence policy first). Setting the same field twice in one
- * spec is an error. Returns false with a one-line `*error`. Parsing
- * checks per-field choices; cross-field rules live in
- * ValidateExecPolicy.
+ * lower-precedence policy first). When the text names an engine, each
+ * field it leaves out that the engine cannot take returns to its
+ * default: memory to ddr3 off arch, a double or float precision to
+ * the engine default on arch, and float to the engine default off
+ * soa. Setting the same field twice in one spec is an error. Returns
+ * false with a one-line `*error`. Parsing checks per-field choices;
+ * cross-field rules live in ValidateExecPolicy.
  */
 bool ParseExecPolicy(const std::string& text, ExecPolicy* out,
                      std::string* error);

@@ -383,6 +383,36 @@ TEST(ExecPolicyTest, MergeOverridesOnlyMentionedFields)
   EXPECT_EQ(policy.precision, "double");
   EXPECT_EQ(policy.shards, 2);
   EXPECT_EQ(policy.pin, "cores");
+
+  // Naming an engine drops each inherited field it cannot take, back
+  // to its default; every other inherited field survives.
+  const auto merged = [&error](const char* base, const char* text) {
+    ExecPolicy p;
+    EXPECT_TRUE(ParseExecPolicy(base, &p, &error)) << base;
+    EXPECT_TRUE(ParseExecPolicy(text, &p, &error)) << text;
+    EXPECT_TRUE(ValidateExecPolicy(p, &error)) << base << " + " << text
+                                                << ": " << error;
+    return FormatExecPolicy(p);
+  };
+  EXPECT_EQ(merged("arch:hmc-int:shards=2", "soa"), "soa:shards=2");
+  EXPECT_EQ(merged("arch:hmc-ext", "functional:double"), "functional:double");
+  EXPECT_EQ(merged("arch:hmc-int", "shards=2"), "arch:hmc-int:shards=2");
+  EXPECT_EQ(merged("soa:double:pin=cores", "arch"), "arch:pin=cores");
+  EXPECT_EQ(merged("soa:float", "arch:hmc-int"), "arch:hmc-int");
+  EXPECT_EQ(merged("soa:float", "functional"), "functional");
+  EXPECT_EQ(merged("soa:double", "functional"), "functional:double");
+  EXPECT_EQ(merged("functional:fixed", "arch"), "arch:fixed");
+  EXPECT_EQ(merged("soa:fixed", "arch"), "arch:fixed");
+
+  // A field the text names is kept, and validated as before.
+  ExecPolicy named;
+  ASSERT_TRUE(ParseExecPolicy("arch:hmc-int", &named, &error));
+  ASSERT_TRUE(ParseExecPolicy("soa:hmc-int", &named, &error));
+  EXPECT_EQ(named.memory, "hmc-int");
+  EXPECT_FALSE(ValidateExecPolicy(named, &error));
+  ASSERT_TRUE(ParseExecPolicy("soa:float", &named, &error));
+  ASSERT_TRUE(ParseExecPolicy("arch:float", &named, &error));
+  EXPECT_FALSE(ValidateExecPolicy(named, &error));
 }
 
 TEST(ExecPolicyTest, RejectsUnknownTokensDuplicatesAndBadCounts)

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "runtime/batch_runner.h"
 #include "runtime/engine_factory.h"
 #include "runtime/job_queue.h"
+#include "runtime/job_runner.h"
 #include "runtime/sharded_stepper.h"
 #include "runtime/solver_session.h"
 #include "runtime/thread_pool.h"
@@ -915,6 +917,20 @@ TEST(BatchManifestTest, ExecKeyMergesOverFrontendDefaults)
   EXPECT_EQ(jobs[2].exec.engine, "functional");
   EXPECT_EQ(jobs[2].exec.precision, "fixed");
   EXPECT_EQ(jobs[2].exec.pin, "none");
+
+  // A job that switches engine drops an arch-only memory it inherited;
+  // a job that keeps the engine keeps it.
+  JobSpec arch_defaults;
+  ASSERT_TRUE(ParseExecPolicy("arch:hmc-int", &arch_defaults.exec,
+                              &parse_error));
+  const auto switched = ParseManifest(
+      "model=heat\nname=fast\nexec=soa\n"
+      "\n"
+      "model=heat\nname=sim\nexec=shards=2\n",
+      &arch_defaults);
+  ASSERT_EQ(switched.size(), 2u);
+  EXPECT_EQ(FormatExecPolicy(switched[0].exec), "soa");
+  EXPECT_EQ(FormatExecPolicy(switched[1].exec), "arch:hmc-int:shards=2");
 }
 
 TEST(BatchManifestTest, CollectsEveryExecErrorWithLineNumbers)
@@ -1185,11 +1201,11 @@ TEST(BatchRunnerTest, ResumeOverCompensatingBitFlipsStartsTheJobOver)
   const auto manifest = ParseManifest(
       "model=reaction_diffusion\nname=rd\nrows=16\ncols=16\nsteps=60\n");
   BatchOptions ref_options;
-  ref_options.out_dir = ScratchDir("batch_flip_ref");
+  ref_options.out_dir = ScratchDir("batch_ckpt_flip_ref");
   const auto ref = BatchRunner(manifest, ref_options).RunAll();
   ASSERT_EQ(ref[0].status, JobStatus::kOk);
 
-  const std::string dir = ScratchDir("batch_flip");
+  const std::string dir = ScratchDir("batch_ckpt_flip");
   BatchOptions options;
   options.out_dir = dir;
   options.max_steps_per_job = 20;
@@ -1319,6 +1335,157 @@ TEST(BatchRunnerTest, ExhaustedRetriesReportFailureStatus)
   EXPECT_EQ(diverged[0].status, JobStatus::kDiverged);
   EXPECT_TRUE(diverged[0].health.diverged);
   EXPECT_TRUE(JobStatusIsFailure(diverged[0].status));
+}
+
+TEST(BatchRunnerTest, TornOrGarbledDoneMarkerReRunsTheJob)
+{
+  // A resume trusts a done marker only when it is whole: every line
+  // present and newline-terminated, its numbers plain decimal. Any
+  // other marker re-runs the job to the uninterrupted checksum.
+  const auto manifest =
+      ParseManifest("model=heat\nname=h\nrows=8\ncols=8\nsteps=12\n");
+  const std::string dir = ScratchDir("batch_torn_marker");
+  BatchOptions options;
+  options.out_dir = dir;
+  options.num_threads = 1;
+  const auto ref = BatchRunner(manifest, options).RunAll();
+  ASSERT_EQ(ref[0].status, JobStatus::kOk);
+  const std::vector<char> marker = ReadBytes(dir + "/h.done");
+  ASSERT_FALSE(marker.empty());
+
+  options.resume = true;
+  const auto cached = BatchRunner(manifest, options).RunAll();
+  EXPECT_EQ(cached[0].status, JobStatus::kCached);
+  EXPECT_EQ(cached[0].checksum, ref[0].checksum);
+
+  const auto expect_rerun = [&](const std::vector<char>& bytes,
+                                const std::string& what) {
+    WriteBytes(dir + "/h.done", bytes);
+    const auto r = BatchRunner(manifest, options).RunAll();
+    EXPECT_EQ(r[0].status, JobStatus::kOk) << what;
+    EXPECT_EQ(r[0].steps_executed, 12u) << what;
+    EXPECT_EQ(r[0].checksum, ref[0].checksum) << what;
+  };
+  for (std::size_t cut = 0; cut < marker.size(); ++cut) {
+    expect_rerun(std::vector<char>(marker.begin(), marker.begin() + cut),
+                 "cut at byte " + std::to_string(cut));
+  }
+  const std::string text(marker.begin(), marker.end());
+  for (const std::string key : {"attempts=", "steps=", "checksum="}) {
+    std::string garbled = text;
+    const std::size_t at = garbled.find(key);
+    ASSERT_NE(at, std::string::npos) << key;
+    garbled[at + key.size()] = 'O';
+    expect_rerun(std::vector<char>(garbled.begin(), garbled.end()),
+                 "garbled " + key);
+  }
+}
+
+TEST(BatchRunnerTest, JobFailingBeforeItsFirstSessionReportsZeroAttempts)
+{
+  // The scenario file passes validation at parse time, then vanishes,
+  // so resolution fails on the worker: the job fails having built no
+  // session, and the rest of the batch runs.
+  const std::string dir = ScratchDir("batch_vanished");
+  const std::string path = dir + "/gone.cenn";
+  {
+    std::ofstream out(path);
+    out << "scenario gone\ngrid 8 8\ndt 0.1\nsteps 4\n"
+           "var u\nd u/dt = -u\ninit u = constant(value=1.0)\n";
+  }
+  const auto manifest =
+      ParseManifest("model_file=" + path + "\nname=gone\n\n"
+                    "model=heat\nname=h\nrows=8\ncols=8\nsteps=4\n");
+  std::filesystem::remove(path);
+
+  BatchOptions options;
+  options.out_dir = dir;
+  options.num_threads = 1;
+  StatRegistry registry;
+  const auto results = BatchRunner(manifest, options).RunAll(&registry);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].status, JobStatus::kFailed);
+  EXPECT_EQ(results[0].attempts, 0);
+  EXPECT_EQ(results[0].message.rfind("internal error: ", 0), 0u)
+      << results[0].message;
+  EXPECT_EQ(results[1].status, JobStatus::kOk);
+  EXPECT_EQ(registry.Value("runtime.job0.attempts"), 0.0);
+  EXPECT_EQ(registry.Value("runtime.batch.jobs_failed"), 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// RunJobAttempts
+
+/**
+ * Records what the loop publishes, and throws a plain std::exception
+ * from the progress hook once the engine reaches `throw_at` steps.
+ */
+class ThrowingControl final : public JobControl
+{
+  public:
+    explicit ThrowingControl(std::uint64_t throw_at) : throw_at_(throw_at) {}
+
+    void
+    Publish(SolverSession* session, int attempt) override
+    {
+      if (session == nullptr && published != nullptr) {
+        // Withdrawn while it still answers: not yet destroyed.
+        withdrawn_steps = published->StepsDone();
+        ++withdrawals;
+      }
+      published = session;
+      last_attempt = attempt;
+    }
+
+    bool StopRequested() override { return false; }
+
+    void Park() override {}
+
+    void
+    Progress(std::uint64_t steps) override
+    {
+      if (steps >= throw_at_) {
+        throw std::runtime_error("control exploded");
+      }
+    }
+
+    SolverSession* published = nullptr;
+    int withdrawals = 0;
+    int last_attempt = 0;
+    std::uint64_t withdrawn_steps = 0;
+
+  private:
+    std::uint64_t throw_at_;
+};
+
+TEST(JobRunnerTest, ExceptionMidRunFailsTheJobAndUnpublishesTheSession)
+{
+  // Not a FaultCrash: nothing to retry. The job fails as an internal
+  // error, its session is withdrawn while still alive, and the caller
+  // (a batch pool worker, a serve worker) carries on.
+  const JobSpec spec = ParseManifest(
+      "model=heat\nname=boom\nrows=8\ncols=8\nsteps=40\n"
+      "checkpoint_every=8\n")[0];
+  JobRunOptions options;
+  options.checkpoint_path = ScratchDir("runner_throw") + "/boom.ckpt";
+  options.max_retries = 2;
+
+  ThrowingControl control(/*throw_at=*/16);
+  const JobResult failed = RunJobAttempts(spec, options, &control);
+  EXPECT_EQ(failed.status, JobStatus::kFailed);
+  EXPECT_EQ(failed.message.rfind("internal error: ", 0), 0u) << failed.message;
+  EXPECT_NE(failed.message.find("control exploded"), std::string::npos);
+  EXPECT_EQ(failed.attempts, 1);
+  EXPECT_EQ(control.published, nullptr);
+  EXPECT_EQ(control.withdrawals, 1);
+  EXPECT_EQ(control.withdrawn_steps, 16u);
+  EXPECT_EQ(control.last_attempt, 1);
+
+  // The same spec runs clean afterwards.
+  const JobResult clean = RunJobAttempts(spec, options, nullptr);
+  EXPECT_EQ(clean.status, JobStatus::kOk);
+  EXPECT_EQ(clean.steps_done, 40u);
+  EXPECT_TRUE(clean.message.empty());
 }
 
 // ---------------------------------------------------------------------------

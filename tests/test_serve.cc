@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -1040,6 +1041,56 @@ TEST(ServeScenario, BadScenariosAreRejectedAtSubmitNotAtRun)
   EXPECT_NE(r.GetString("message").find("model_file"), std::string::npos);
 
   // None of it was admitted.
+  EXPECT_EQ(service.Jobs().TotalCreated(), 0u);
+}
+
+TEST(ServeScenario, CellLimitAppliesToTheGridTheJobRuns)
+{
+  // Without rows= and cols= a scenario runs at its own `grid`, so the
+  // cell limit must judge that grid, not the spec's 64x64 defaults.
+  ServiceOptions options = BaseOptions(TestDir("scenario_cells"));
+  options.max_cells = 4096;
+  SolverService service(options);
+  const std::string big =
+      "scenario big; grid 256 256; dt 0.1; steps 4; var u; d u/dt = -u; "
+      "init u = constant(value=1.0)";
+
+  JsonValue r = Call(service, SubmitLine("t", SpecJson({{"model_source",
+                                                         big}})));
+  EXPECT_FALSE(r.GetBool("ok", true));
+  EXPECT_EQ(r.GetString("error"), "invalid");
+  EXPECT_NE(r.GetString("message").find("256x256"), std::string::npos)
+      << r.GetString("message");
+  EXPECT_EQ(service.Jobs().TotalCreated(), 0u);
+
+  // Explicit rows= and cols= override the scenario's grid, and fit.
+  const std::string job = MustSubmit(
+      service, "t",
+      SpecJson({{"model_source", big}, {"rows", "32"}, {"cols", "32"}}));
+  r = WaitResult(service, job);
+  EXPECT_EQ(r.GetString("status"), "ok");
+  EXPECT_EQ(r.GetString("steps_done"), "4");
+}
+
+TEST(ServeFuzz, ShardsAboveTheHardwareThreadCountAreRejected)
+{
+  // One worker thread per shard: a submit may not ask for more shards
+  // than the host has hardware threads. The grid has 8 rows, so even
+  // an accepted job would start at most 8 threads.
+  SolverService service(BaseOptions(TestDir("shard_limit")));
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const std::string exec = "shards=" + std::to_string(hw + 1);
+  const JsonValue r = Call(
+      service, SubmitLine("t", SpecJson({{"model", "heat"},
+                                         {"rows", "8"},
+                                         {"cols", "8"},
+                                         {"steps", "4"},
+                                         {"exec", exec}})));
+  EXPECT_FALSE(r.GetBool("ok", true));
+  EXPECT_EQ(r.GetString("error"), "invalid");
+  EXPECT_NE(r.GetString("message").find("hardware threads"),
+            std::string::npos)
+      << r.GetString("message");
   EXPECT_EQ(service.Jobs().TotalCreated(), 0u);
 }
 

@@ -65,7 +65,7 @@ PrintUsage()
       "                           trip (default 2)\n"
       "  --retry-backoff-ms=N     base retry delay, doubled per attempt\n"
       "  --checkpoint-every=N     default auto-checkpoint interval (64)\n"
-      "  --max-cells=N            largest rows*cols a submit may ask (2^20)\n"
+      "  --max-cells=N            largest grid a submit may run (2^20)\n"
       "  --max-steps=N            largest steps a submit may ask (0 = off)\n"
       "  --retry-after-ms=N       retry hint on quota/busy rejects (200)\n"
       "  --max-line-bytes=N       request-line size cap (default 1 MiB)\n",
