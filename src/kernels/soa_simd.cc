@@ -29,8 +29,9 @@ struct SimdBackend {
 
 /**
  * Backends this build carries AND this CPU can run, ordered worst to
- * best. generic is always first; the baseline ISA (sse2/neon) next;
- * wider ISAs only after a runtime CPU probe.
+ * best: generic, then the baseline ISA (sse2/neon), then the wider
+ * x86 ISAs (avx2, avx512), each only after a runtime CPU probe.
+ * avx512 needs all four of the extensions its TU is built with.
  */
 std::vector<SimdBackend>
 AvailableBackends()
@@ -42,6 +43,12 @@ AvailableBackends()
 #if defined(__GNUC__) || defined(__clang__)
   if (__builtin_cpu_supports("avx2")) {
     avail.push_back(CENN_SIMD_BACKEND("avx2", simd_avx2));
+  }
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512dq") &&
+      __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512vl")) {
+    avail.push_back(CENN_SIMD_BACKEND("avx512", simd_avx512));
   }
 #endif
 #endif
@@ -86,6 +93,17 @@ PickBackend()
 }
 
 }  // namespace
+
+bool
+SimdIsaSupported(const char* isa)
+{
+  for (const SimdBackend& b : AvailableBackends()) {
+    if (std::strcmp(isa, b.isa) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
 
 const char*
 SimdIsaName()

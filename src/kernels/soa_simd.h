@@ -8,16 +8,18 @@
  *
  * The kernels themselves live in soa_simd_impl.h and are compiled
  * once per ISA into separate translation units (each in its own
- * namespace, so a TU built with -mavx2 can never leak AVX2 code into
- * a baseline build): soa_simd_x86_avx2.cc, soa_simd_x86_sse2.cc,
- * soa_simd_neon.cc and soa_simd_generic.cc. soa_simd.cc probes the
- * CPU once per process and publishes the best available entry points
- * here; SoaEngine calls through the returned function pointer.
+ * namespace, so a TU built with -mavx2 or the AVX-512 flags can never
+ * leak that code into a baseline build): soa_simd_x86_avx512.cc,
+ * soa_simd_x86_avx2.cc, soa_simd_x86_sse2.cc, soa_simd_neon.cc and
+ * soa_simd_generic.cc. soa_simd.cc probes the CPU once per process and
+ * publishes the best available entry points here; SoaEngine calls
+ * through the returned function pointer.
  *
- * Dispatch order: avx2 > sse2 (x86-64), neon (aarch64), generic
- * (everything else). CENN_SIMD_ISA=auto|avx2|sse2|neon|generic
- * overrides the probe; naming an ISA the CPU or build does not
- * support is fatal, as is an unknown value.
+ * Dispatch order: avx512 > avx2 > sse2 (x86-64; avx512 needs the F,
+ * DQ, BW and VL extensions), neon (aarch64), generic (everything
+ * else). CENN_SIMD_ISA=auto|avx512|avx2|sse2|neon|generic overrides
+ * the probe; naming an ISA the CPU or build does not support is
+ * fatal, as is an unknown value.
  *
  * Every precision has vector kernels: double and float lanes, and
  * Q16.16 int32 lanes for Fixed32 (saturating ops, exact saturation
@@ -71,16 +73,26 @@ SimdStepFn<float> SimdStepFor<float>();
 template <>
 SimdStepFn<Fixed32> SimdStepFor<Fixed32>();
 
-/** Name of the dispatched ISA: "avx2", "sse2", "neon" or "generic". */
+/**
+ * Name of the dispatched ISA: "avx512", "avx2", "sse2", "neon" or
+ * "generic".
+ */
 const char* SimdIsaName();
 
-/** Double lanes per iteration of the dispatched kernels (2-4). */
+/**
+ * True when this build carries `isa`'s kernels and this CPU can run
+ * them: the names CENN_SIMD_ISA accepts here. Probes without
+ * dispatching, so it never reads CENN_SIMD_ISA.
+ */
+bool SimdIsaSupported(const char* isa);
+
+/** Double lanes per iteration of the dispatched kernels (2-8). */
 int SimdLanesDouble();
 
-/** Float lanes per iteration of the dispatched kernels (4-8). */
+/** Float lanes per iteration of the dispatched kernels (4-16). */
 int SimdLanesFloat();
 
-/** Q16.16 (int32) lanes per iteration of the dispatched kernels (4-8). */
+/** Q16.16 (int32) lanes per iteration of the dispatched kernels (4-16). */
 int SimdLanesInt32();
 
 // Per-ISA entry points (defined by the soa_simd_*.cc TUs; declared
@@ -102,6 +114,7 @@ CENN_DECLARE_SIMD_ENTRIES(simd_generic)
 #if defined(__x86_64__) || defined(_M_X64)
 CENN_DECLARE_SIMD_ENTRIES(simd_sse2)
 CENN_DECLARE_SIMD_ENTRIES(simd_avx2)
+CENN_DECLARE_SIMD_ENTRIES(simd_avx512)
 #endif
 #if defined(__aarch64__)
 CENN_DECLARE_SIMD_ENTRIES(simd_neon)

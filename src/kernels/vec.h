@@ -5,12 +5,12 @@
  * @file
  * Portable fixed-width vector wrappers for the SoA simd kernel path.
  *
- * Each ISA namespace (avx2, sse2, neon, generic) provides the same
- * three types — VecD (double lanes), VecF (float lanes, always twice
- * as many) and VecI (signed int32 lanes, the raw words of the Q16.16
- * datapath) — with an identical member API per type, so the stepping
- * kernels in soa_simd_impl.h compile unchanged against any of them.
- * neon's VecI is the generic lane array. A namespace
+ * Each ISA namespace (avx512, avx2, sse2, neon, generic) provides the
+ * same three types — VecD (double lanes), VecF (float lanes, always
+ * twice as many) and VecI (signed int32 lanes, the raw words of the
+ * Q16.16 datapath) — with an identical member API per type, so the
+ * stepping kernels in soa_simd_impl.h compile unchanged against any of
+ * them. neon's VecI is the generic lane array. A namespace
  * is only defined when the including translation unit is compiled
  * with the matching target flags (e.g. -mavx2 for avx2), which is why
  * each ISA gets its own TU under src/kernels/ and runtime dispatch
@@ -1038,6 +1038,304 @@ struct VecI {
 
 }  // namespace avx2
 #endif  // __AVX2__
+
+// ---------------------------------------------------------------------------
+// avx512 (F, DQ, BW and VL): 8 double / 16 float and Q16.16 lanes. Lane
+// masks serve the tails (masked loads and stores never touch the
+// masked-off lanes' memory) and the saturating Q16.16 ops, and vpsraq
+// gives MulQ16 a native 64-bit arithmetic shift. Compares return
+// all-ones vector lanes, as on the other backends.
+
+#if defined(__AVX512F__) && defined(__AVX512DQ__) && \
+    defined(__AVX512BW__) && defined(__AVX512VL__)
+namespace avx512 {
+
+/** Lane mask with the first n lanes active (0 <= n < 16). */
+inline __mmask16
+FirstLanes(int n)
+{
+  return static_cast<__mmask16>((1u << n) - 1u);
+}
+
+/** Moves bit i of an 8-bit mask to bit 2i. */
+constexpr unsigned
+SpreadBits8(unsigned m)
+{
+  m = (m | (m << 4)) & 0x0F0Fu;
+  m = (m | (m << 2)) & 0x3333u;
+  return (m | (m << 1)) & 0x5555u;
+}
+
+struct VecD {
+  static constexpr int kLanes = 8;
+  __m512d v;
+
+  static VecD Broadcast(double x) { return {_mm512_set1_pd(x)}; }
+  static VecD Zero() { return {_mm512_setzero_pd()}; }
+  static VecD Load(const double* p) { return {_mm512_loadu_pd(p)}; }
+
+  static VecD
+  LoadPartial(const double* p, int n)
+  {
+    if (n >= kLanes) {
+      return Load(p);
+    }
+    return {_mm512_maskz_loadu_pd(static_cast<__mmask8>(FirstLanes(n)), p)};
+  }
+
+  void Store(double* p) const { _mm512_storeu_pd(p, v); }
+
+  void
+  StorePartial(double* p, int n) const
+  {
+    if (n >= kLanes) {
+      Store(p);
+    } else {
+      _mm512_mask_storeu_pd(p, static_cast<__mmask8>(FirstLanes(n)), v);
+    }
+  }
+
+  VecD operator+(VecD o) const { return {_mm512_add_pd(v, o.v)}; }
+  VecD operator-(VecD o) const { return {_mm512_sub_pd(v, o.v)}; }
+  VecD operator*(VecD o) const { return {_mm512_mul_pd(v, o.v)}; }
+
+  /** Two-rounding multiply-add (see the avx2 flavor). */
+  static VecD
+  MulAdd(VecD a, VecD b, VecD c)
+  {
+    return {_mm512_add_pd(_mm512_mul_pd(a.v, b.v), c.v)};
+  }
+
+  static VecD
+  Gather(const double* base, const std::int64_t off[kLanes])
+  {
+    return {_mm512_i64gather_pd(_mm512_loadu_si512(off), base,
+                                sizeof(double))};
+  }
+
+  VecD
+  CmpEq(VecD o) const
+  {
+    return {_mm512_castsi512_pd(
+        _mm512_movm_epi64(_mm512_cmp_pd_mask(v, o.v, _CMP_EQ_OQ)))};
+  }
+
+  static VecD
+  Select(VecD mask, VecD a, VecD b)
+  {
+    return {_mm512_mask_blend_pd(
+        _mm512_movepi64_mask(_mm512_castpd_si512(mask.v)), b.v, a.v)};
+  }
+};
+
+struct VecF {
+  static constexpr int kLanes = 16;
+  __m512 v;
+
+  static VecF Broadcast(float x) { return {_mm512_set1_ps(x)}; }
+  static VecF Zero() { return {_mm512_setzero_ps()}; }
+  static VecF Load(const float* p) { return {_mm512_loadu_ps(p)}; }
+
+  static VecF
+  LoadPartial(const float* p, int n)
+  {
+    if (n >= kLanes) {
+      return Load(p);
+    }
+    return {_mm512_maskz_loadu_ps(FirstLanes(n), p)};
+  }
+
+  void Store(float* p) const { _mm512_storeu_ps(p, v); }
+
+  void
+  StorePartial(float* p, int n) const
+  {
+    if (n >= kLanes) {
+      Store(p);
+    } else {
+      _mm512_mask_storeu_ps(p, FirstLanes(n), v);
+    }
+  }
+
+  VecF operator+(VecF o) const { return {_mm512_add_ps(v, o.v)}; }
+  VecF operator-(VecF o) const { return {_mm512_sub_ps(v, o.v)}; }
+  VecF operator*(VecF o) const { return {_mm512_mul_ps(v, o.v)}; }
+
+  static VecF
+  MulAdd(VecF a, VecF b, VecF c)
+  {
+    return {_mm512_add_ps(_mm512_mul_ps(a.v, b.v), c.v)};
+  }
+
+  static void
+  Widen(VecF x, VecD* lo, VecD* hi)
+  {
+    lo->v = _mm512_cvtps_pd(_mm512_castps512_ps256(x.v));
+    hi->v = _mm512_cvtps_pd(_mm512_extractf32x8_ps(x.v, 1));
+  }
+
+  static VecF
+  Narrow(VecD lo, VecD hi)
+  {
+    return {_mm512_insertf32x8(_mm512_castps256_ps512(_mm512_cvtpd_ps(lo.v)),
+                               _mm512_cvtpd_ps(hi.v), 1)};
+  }
+};
+
+struct VecI {
+  static constexpr int kLanes = 16;
+  __m512i v;
+
+  static VecI Broadcast(std::int32_t x) { return {_mm512_set1_epi32(x)}; }
+  static VecI Zero() { return {_mm512_setzero_si512()}; }
+  static VecI Load(const std::int32_t* p) { return {_mm512_loadu_si512(p)}; }
+
+  static VecI
+  LoadPartial(const std::int32_t* p, int n)
+  {
+    if (n >= kLanes) {
+      return Load(p);
+    }
+    return {_mm512_maskz_loadu_epi32(FirstLanes(n), p)};
+  }
+
+  void Store(std::int32_t* p) const { _mm512_storeu_si512(p, v); }
+
+  void
+  StorePartial(std::int32_t* p, int n) const
+  {
+    if (n >= kLanes) {
+      Store(p);
+    } else {
+      _mm512_mask_storeu_epi32(p, FirstLanes(n), v);
+    }
+  }
+
+  VecI operator-(VecI o) const { return {_mm512_sub_epi32(v, o.v)}; }
+  VecI operator&(VecI o) const { return {_mm512_and_si512(v, o.v)}; }
+
+  VecI
+  ShiftRightArith(int n) const
+  {
+    return {_mm512_sra_epi32(v, _mm_cvtsi32_si128(n))};
+  }
+
+  VecI
+  ShiftLeft(int n) const
+  {
+    return {_mm512_sll_epi32(v, _mm_cvtsi32_si128(n))};
+  }
+
+  static VecI Max(VecI a, VecI b) { return {_mm512_max_epi32(a.v, b.v)}; }
+  static VecI Min(VecI a, VecI b) { return {_mm512_min_epi32(a.v, b.v)}; }
+
+  VecI
+  CmpEq(VecI o) const
+  {
+    return {_mm512_movm_epi32(_mm512_cmpeq_epi32_mask(v, o.v))};
+  }
+
+  VecI
+  CmpGt(VecI o) const
+  {
+    return {_mm512_movm_epi32(_mm512_cmpgt_epi32_mask(v, o.v))};
+  }
+
+  static VecI
+  Select(VecI mask, VecI a, VecI b)
+  {
+    return {_mm512_mask_blend_epi32(_mm512_movepi32_mask(mask.v), b.v, a.v)};
+  }
+
+  unsigned MoveMask() const { return _mm512_movepi32_mask(v); }
+
+  static VecI
+  Gather(const std::int32_t* base, VecI idx)
+  {
+    return {_mm512_i32gather_epi32(idx.v, base, sizeof(std::int32_t))};
+  }
+
+  /**
+   * Saturating a + b. The overflow test of the sse2 flavor,
+   * (s ^ a) & (s ^ b), is one vpternlogd over (s, a, b): truth table
+   * 0x18 sets a lane's sign bit where s differs in sign from both.
+   */
+  static VecI
+  AddSat(VecI a, VecI b, unsigned* sat)
+  {
+    const __m512i s = _mm512_add_epi32(a.v, b.v);
+    return Clamped(a, s, _mm512_ternarylogic_epi32(s, a.v, b.v, 0x18), sat);
+  }
+
+  /** Saturating a - b: (a ^ b) & (a ^ s) is truth table 0x24. */
+  static VecI
+  SubSat(VecI a, VecI b, unsigned* sat)
+  {
+    const __m512i s = _mm512_sub_epi32(a.v, b.v);
+    return Clamped(a, s, _mm512_ternarylogic_epi32(s, a.v, b.v, 0x24), sat);
+  }
+
+  /**
+   * Q16.16 a * b, bit-identical to Fixed32::operator*. Even and odd
+   * lanes multiply separately (vpmuldq) into signed 64-bit products p,
+   * and q = (p + 2^15 - [p < 0]) >> 16 with the native 64-bit
+   * arithmetic shift is the rounded, zero-truncated quotient (see the
+   * avx2 flavor). q fits int32 exactly when q - INT32_MIN <=u 2^32 - 1,
+   * one unsigned compare per half. Clamped lanes (rare) take the limit
+   * of the product's sign, a's sign xor b's.
+   */
+  static VecI
+  MulQ16(VecI a, VecI b, unsigned* sat)
+  {
+    const __m512i half = _mm512_set1_epi64(32768);
+    const auto quotient = [&half](__m512i p) {
+      return _mm512_srai_epi64(
+          _mm512_sub_epi64(_mm512_add_epi64(p, half), _mm512_srli_epi64(p, 63)),
+          16);
+    };
+    const __m512i qe = quotient(_mm512_mul_epi32(a.v, b.v));
+    const __m512i qo = quotient(_mm512_mul_epi32(_mm512_srli_epi64(a.v, 32),
+                                                 _mm512_srli_epi64(b.v, 32)));
+    // Even quotients keep their low dword, odd ones move to the high.
+    const __m512i q =
+        _mm512_mask_blend_epi32(0xAAAA, qe, _mm512_slli_epi64(qo, 32));
+    const __m512i bias = _mm512_set1_epi64(-std::int64_t{INT32_MIN});
+    const __m512i top = _mm512_set1_epi64(std::int64_t{UINT32_MAX});
+    const __mmask8 over_e =
+        _mm512_cmpgt_epu64_mask(_mm512_add_epi64(qe, bias), top);
+    const __mmask8 over_o =
+        _mm512_cmpgt_epu64_mask(_mm512_add_epi64(qo, bias), top);
+    if ((over_e | over_o) == 0) {
+      *sat = 0;
+      return {q};
+    }
+    const unsigned clamp = SpreadBits8(over_e) | (SpreadBits8(over_o) << 1);
+    *sat = clamp;
+    const __m512i limit =
+        _mm512_xor_si512(_mm512_srai_epi32(_mm512_xor_si512(a.v, b.v), 31),
+                         _mm512_set1_epi32(INT32_MAX));
+    return {_mm512_mask_blend_epi32(static_cast<__mmask16>(clamp), q, limit)};
+  }
+
+  /** AddSat/SubSat tail: lanes whose `ov` sign bit is set (rare)
+      take INT32_MAX or INT32_MIN by a's sign, the rest keep s. */
+  static VecI
+  Clamped(VecI a, __m512i s, __m512i ov, unsigned* sat)
+  {
+    const __mmask16 clamp = _mm512_movepi32_mask(ov);
+    if (clamp == 0) {
+      *sat = 0;
+      return {s};
+    }
+    *sat = clamp;
+    const __m512i limit = _mm512_xor_si512(_mm512_srai_epi32(a.v, 31),
+                                           _mm512_set1_epi32(INT32_MAX));
+    return {_mm512_mask_blend_epi32(clamp, s, limit)};
+  }
+};
+
+}  // namespace avx512
+#endif  // __AVX512F__ && __AVX512DQ__ && __AVX512BW__ && __AVX512VL__
 
 // ---------------------------------------------------------------------------
 // neon: aarch64. 2 double / 4 float lanes.

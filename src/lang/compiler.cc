@@ -186,16 +186,17 @@ class Compiler
     void
     ResolveGeometry()
     {
+        // A side the config gives is taken as given; a side it leaves 0
+        // comes from the `grid` statement, else the default.
         rows_ = config_.rows;
         cols_ = config_.cols;
-        if (rows_ == 0 || cols_ == 0) {
-          if (grid_ != nullptr) {
-            rows_ = static_cast<std::size_t>(grid_->a);
-            cols_ = static_cast<std::size_t>(grid_->b);
-          } else {
-            rows_ = kDefaultGridSide;
-            cols_ = kDefaultGridSide;
-          }
+        if (rows_ == 0) {
+          rows_ = grid_ != nullptr ? static_cast<std::size_t>(grid_->a)
+                                   : kDefaultGridSide;
+        }
+        if (cols_ == 0) {
+          cols_ = grid_ != nullptr ? static_cast<std::size_t>(grid_->b)
+                                   : kDefaultGridSide;
         }
         const Pos grid_pos = grid_ != nullptr ? grid_->pos : Pos{1, 1};
         if (rows_ == 0 || cols_ == 0) {

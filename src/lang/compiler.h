@@ -33,7 +33,8 @@ namespace cenn::lang {
 /** Rows and cols of a scenario with no `grid` statement. */
 constexpr std::size_t kDefaultGridSide = 64;
 
-/** Instantiation parameters; rows/cols 0 = use the file's `grid`. */
+/** Instantiation parameters; a side left 0 comes from the file's
+ *  `grid` (else kDefaultGridSide), the other side stays as given. */
 struct ScenarioConfig {
   std::size_t rows = 0;
   std::size_t cols = 0;

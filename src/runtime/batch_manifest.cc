@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 
+#include "runtime/job_runner.h"
 #include "util/logging.h"
 
 namespace cenn {
@@ -31,31 +32,6 @@ JobSpecBuilder
 MakeBuilder(const JobSpec* defaults)
 {
   return defaults != nullptr ? JobSpecBuilder(*defaults) : JobSpecBuilder{};
-}
-
-/** Default display/name stem for a job: the model id, the scenario
- *  file's basename (extension stripped), or "scenario" for inline. */
-std::string
-JobModelStem(const JobSpec& job)
-{
-  if (!job.model.empty()) {
-    return job.model;
-  }
-  if (!job.model_file.empty()) {
-    std::string stem = job.model_file;
-    const std::size_t slash = stem.find_last_of("/\\");
-    if (slash != std::string::npos) {
-      stem.erase(0, slash + 1);
-    }
-    const std::size_t dot = stem.rfind('.');
-    if (dot != std::string::npos && dot > 0) {
-      stem.erase(dot);
-    }
-    if (!stem.empty()) {
-      return stem;
-    }
-  }
-  return "scenario";
 }
 
 /** Closes the in-flight job: validates, names and appends it. */

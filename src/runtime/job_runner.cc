@@ -87,6 +87,29 @@ JobDisplayModel(const JobSpec& job)
   return job.model_file.empty() ? "inline" : "file:" + job.model_file;
 }
 
+std::string
+JobModelStem(const JobSpec& job)
+{
+  if (!job.model.empty()) {
+    return job.model;
+  }
+  if (!job.model_file.empty()) {
+    std::string stem = job.model_file;
+    const std::size_t slash = stem.find_last_of("/\\");
+    if (slash != std::string::npos) {
+      stem.erase(0, slash + 1);
+    }
+    const std::size_t dot = stem.rfind('.');
+    if (dot != std::string::npos && dot > 0) {
+      stem.erase(dot);
+    }
+    if (!stem.empty()) {
+      return stem;
+    }
+  }
+  return "scenario";
+}
+
 JobResult
 RunJobAttempts(const JobSpec& spec, const JobRunOptions& options,
                JobControl* control)

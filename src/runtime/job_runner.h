@@ -63,6 +63,13 @@ JobStatusIsFailure(JobStatus s)
 /** What the reports' `model` column shows for a job. */
 std::string JobDisplayModel(const JobSpec& job);
 
+/**
+ * The stem of an unnamed job's default name (batch `job<N>_<stem>`,
+ * serve `j<N>_<stem>`): the model id, the scenario file's basename
+ * with its extension stripped, or "scenario" for inline text.
+ */
+std::string JobModelStem(const JobSpec& job);
+
 /** Outcome of one job. */
 struct JobResult {
   std::string name;

@@ -62,22 +62,32 @@ ResolveModelSource(const JobSpec& spec, std::uint64_t seed)
 std::pair<std::size_t, std::size_t>
 JobGrid(const JobSpec& spec)
 {
-  // Scenarios take rows/cols from the spec only when both were given
-  // (lang::ScenarioConfig treats a lone zero as "use the file's grid").
-  if (!spec.model.empty() || (spec.has_rows && spec.has_cols)) {
+  if (!spec.model.empty()) {
     return {spec.rows, spec.cols};
+  }
+  // lang::ScenarioConfig's rule, with ResolveModelSource's config: a
+  // side the spec gives is taken as given, a missing side comes from
+  // the scenario's `grid` statement, else the compiler's default.
+  const std::size_t rows = spec.has_rows ? spec.rows : 0;
+  const std::size_t cols = spec.has_cols ? spec.cols : 0;
+  if (rows != 0 && cols != 0) {
+    return {rows, cols};
   }
   std::string source = spec.model_source;
   std::string error;  // an unreadable file fails ValidateJobSpec
   if (!spec.model_file.empty()) {
     lang::ReadScenarioFile(spec.model_file, &source, &error);
   }
+  std::size_t grid_rows = lang::kDefaultGridSide;
+  std::size_t grid_cols = lang::kDefaultGridSide;
   for (const lang::Statement& s : lang::Parse(source).def.statements) {
     if (s.kind == lang::Statement::Kind::kGrid) {
-      return {static_cast<std::size_t>(s.a), static_cast<std::size_t>(s.b)};
+      grid_rows = static_cast<std::size_t>(s.a);
+      grid_cols = static_cast<std::size_t>(s.b);
+      break;
     }
   }
-  return {lang::kDefaultGridSide, lang::kDefaultGridSide};
+  return {rows != 0 ? rows : grid_rows, cols != 0 ? cols : grid_cols};
 }
 
 }  // namespace cenn

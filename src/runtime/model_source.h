@@ -40,16 +40,16 @@ struct ResolvedModel {
 
 /**
  * Builds the program for `spec` at initial-condition seed `seed`.
- * For scenarios, spec rows/cols override the file's `grid` only when
- * they were given explicitly (spec.has_rows / has_cols).
+ * For scenarios, each of rows/cols given explicitly (spec.has_rows /
+ * has_cols) overrides its side of the file's `grid`.
  * Throws std::runtime_error with a formatted diagnostic on failure.
  */
 ResolvedModel ResolveModelSource(const JobSpec& spec, std::uint64_t seed);
 
 /**
  * The rows and cols ResolveModelSource builds `spec` at, without
- * building it: explicit rows= and cols= (a scenario needs both), else
- * the scenario's `grid` statement, else the compiler's default.
+ * building it: per side, an explicit rows= or cols=, else the
+ * scenario's `grid` statement, else the compiler's default.
  */
 std::pair<std::size_t, std::size_t> JobGrid(const JobSpec& spec);
 

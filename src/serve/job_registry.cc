@@ -14,7 +14,7 @@ JobRegistry::Create(const std::string& tenant, JobSpec spec)
   ++next_id_;
   job->tenant = tenant;
   if (spec.name.empty()) {
-    spec.name = job->id + "_" + spec.model;
+    spec.name = job->id + "_" + JobModelStem(spec);
   }
   job->spec = std::move(spec);
   ServeJob* raw = job.get();

@@ -657,7 +657,10 @@ SolverService::HandleSnapshot(const JsonValue& request)
            !JobStatusIsLive(job->status);
   });
   if (job->paused && job->session != nullptr) {
-    const int layers = job->session->Backend().Spec().NumLayers();
+    // The grid the session runs: a scenario job's spec may leave its
+    // rows and cols to the file's `grid` statement.
+    const NetworkSpec& grid = job->session->Backend().Spec();
+    const int layers = grid.NumLayers();
     if (layer < 0 || layer >= layers) {
       response = ErrorResponse("snapshot", ServeErrorCode::kInvalid,
                                "layer out of range (job has " +
@@ -679,8 +682,8 @@ SolverService::HandleSnapshot(const JsonValue& request)
                      .String("job", job->id)
                      .Int("layer", layer)
                      .Int("layers", layers)
-                     .Int("rows", static_cast<std::int64_t>(job->spec.rows))
-                     .Int("cols", static_cast<std::int64_t>(job->spec.cols))
+                     .Int("rows", static_cast<std::int64_t>(grid.rows))
+                     .Int("cols", static_cast<std::int64_t>(grid.cols))
                      .U64Str("steps", job->session->StepsDone())
                      .Raw("values", values)
                      .Finish();

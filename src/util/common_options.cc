@@ -99,7 +99,8 @@ CommonOptionsHelp(unsigned groups)
         "                               none|cores|numa, e.g.\n"
         "                               --exec=soa:double:shards=8:pin=numa\n"
         "                               (CENN_EXEC overrides; vector ISA\n"
-        "                               via CENN_SIMD_ISA; docs/runtime.md)\n";
+        "                               via CENN_SIMD_ISA=auto|avx512|avx2|\n"
+        "                               sse2|neon|generic; docs/runtime.md)\n";
   }
   if ((groups & kThreadsFlag) != 0) {
     out += "  --threads=N                  worker threads\n";

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -120,8 +121,44 @@ TEST(SimdIsaDeathTest, UnknownSimdIsaIsFatalNotAFallback)
   // The simd dispatcher probes once per process, so no simd engine may
   // be built before the forked death-test child reads the environment;
   // googletest runs *DeathTest suites before every other test.
-  setenv("CENN_SIMD_ISA", "avx512", 1);
-  EXPECT_DEATH(SimdIsaName(), "CENN_SIMD_ISA='avx512' is not available");
+  setenv("CENN_SIMD_ISA", "avx1024", 1);
+  EXPECT_DEATH(SimdIsaName(), "CENN_SIMD_ISA='avx1024' is not available");
+  unsetenv("CENN_SIMD_ISA");
+}
+
+/** This CPU runs the avx512 kernels (F, DQ, BW and VL), probed here
+ *  rather than through the dispatcher under test. */
+bool
+CpuHasAvx512()
+{
+#if (defined(__x86_64__) || defined(_M_X64)) && \
+    (defined(__GNUC__) || defined(__clang__))
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512dq") &&
+         __builtin_cpu_supports("avx512bw") &&
+         __builtin_cpu_supports("avx512vl");
+#else
+  return false;
+#endif
+}
+
+TEST(SimdIsaDeathTest, Avx512IsHonouredWhereTheCpuHasItAndFatalElsewhere)
+{
+  // Each forked child probes afresh (see above).
+  const auto dispatches = [](const char* env, const char* isa) {
+    setenv("CENN_SIMD_ISA", env, 1);
+    EXPECT_EXIT(std::exit(std::strcmp(SimdIsaName(), isa) == 0 ? 0 : 1),
+                testing::ExitedWithCode(0), "")
+        << "CENN_SIMD_ISA=" << env << " should dispatch " << isa;
+  };
+  if (CpuHasAvx512()) {
+    dispatches("auto", "avx512");  // the widest ISA comes first
+    dispatches("avx512", "avx512");
+    dispatches("avx2", "avx2");
+  } else {
+    setenv("CENN_SIMD_ISA", "avx512", 1);
+    EXPECT_DEATH(SimdIsaName(), "CENN_SIMD_ISA='avx512' is not available");
+  }
   unsetenv("CENN_SIMD_ISA");
 }
 

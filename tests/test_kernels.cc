@@ -8,14 +8,16 @@
  * engine across models, grid shapes (odd and tiny widths included),
  * boundary kinds, precisions, evaluators and shard counts — for
  * Fixed32 also LUT geometries, saturating states, mid-run refits and
- * the saturation and LUT counters — and the Q16.16 lane ops checked
- * against Fixed32.
+ * the saturation and LUT counters — and the Q16.16 lane ops of every
+ * vector backend checked against Fixed32.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -28,6 +30,7 @@
 #include "core/solver.h"
 #include "health/health_guard.h"
 #include "kernels/soa_engine.h"
+#include "kernels/soa_simd.h"
 #include "kernels/vec.h"
 #include "lut/lut_bank.h"
 #include "lut/lut_evaluator.h"
@@ -37,9 +40,42 @@
 #include "models/benchmark_model.h"
 #include "program/checkpoint.h"
 #include "runtime/worker_team.h"
+#include "simd_lane_ops.h"
 
 namespace cenn {
 namespace {
+
+/**
+ * The kernel sweeps run again under CENN_SIMD_ISA=<isa> as the ctests
+ * test_kernels_isa_<isa>. Where this CPU cannot run the wide x86 ISA
+ * named there, the binary exits with this code before any test, and
+ * the ctest's SKIP_RETURN_CODE reports it skipped, never passed. Other
+ * names reach the dispatcher and its fatal error.
+ */
+constexpr int kIsaSkipExitCode = 77;
+
+class ForcedIsaProbe : public testing::Environment
+{
+  public:
+    void
+    SetUp() override
+    {
+        const char* isa = std::getenv("CENN_SIMD_ISA");
+        if (isa == nullptr || (std::strcmp(isa, "avx2") != 0 &&
+                               std::strcmp(isa, "avx512") != 0)) {
+          return;
+        }
+        if (!SimdIsaSupported(isa)) {
+          std::printf("CENN_SIMD_ISA=%s: this CPU cannot run it; skipped\n",
+                      isa);
+          std::fflush(stdout);
+          std::exit(kIsaSkipExitCode);
+        }
+    }
+};
+
+[[maybe_unused]] testing::Environment* const kForcedIsaProbe =
+    testing::AddGlobalTestEnvironment(new ForcedIsaProbe);
 
 SolverProgram
 ModelProgram(const std::string& name, std::size_t rows, std::size_t cols)
@@ -333,6 +369,38 @@ RunCounting(Engine* engine, std::uint64_t steps, int shards,
   return {guard.SatEvents(), sink.Accesses(), sink.ExactHits()};
 }
 
+/**
+ * A one-layer Fixed32 program over an exp table far from zero
+ * ([20, 28]): the zero-filled lanes past a row's end index its first
+ * entry at d = -20 against saturated coefficients, so their cubic
+ * clamps, and the real cells, at 20..27.4, clamp too.
+ */
+SolverProgram
+FarTableProgram(std::size_t rows, std::size_t cols)
+{
+  const NonlinearFnPtr far_exp =
+      MakeFunction("far_exp", [](double x) { return std::exp(x); });
+  EquationSystem sys;
+  sys.name = "far_exp";
+  sys.rows = rows;
+  sys.cols = cols;
+  sys.dt = 0.01;
+  EquationDef u;
+  u.var_name = "u";
+  u.terms.push_back(Term::Linear(0.1, SpatialOp::kLaplacian, 0));
+  u.terms.push_back(
+      Term::Nonlinear(1e-3, 0, far_exp, SpatialOp::kIdentity, 0));
+  for (std::size_t i = 0; i < rows * cols; ++i) {
+    u.initial.push_back(20.0 + 0.37 * static_cast<double>(i % 21));
+  }
+  sys.equations.push_back(std::move(u));
+  SolverProgram program;
+  program.spec = Mapper::Map(sys);
+  program.lut_config.default_spec.min_p = 20.0;
+  program.lut_config.default_spec.max_p = 28.0;
+  return program;
+}
+
 /** Applies `edit` to the default and every per-function LUT spec. */
 template <typename Edit>
 void
@@ -354,9 +422,11 @@ EditLutSpecs(LutConfig* config, Edit edit)
  * (paper grid, 2^-1/2^-2 spacing, or min_p off the sample grid),
  * saturating initial states and a mid-run refit, and must match the
  * oracle's HealthGuard saturation events and LUT accesses and exact
- * hits too. Every assertion carries the master seed and the config
- * index, so a failure reproduces by pinning kMasterSeed and stepping
- * to that config.
+ * hits too. Three more Fixed32 configs run the far table at widths
+ * that leave a tail at every lane count, so zero-filled tail lanes
+ * clamp and must not count. Every assertion carries the master seed
+ * and the config index, so a failure reproduces by pinning kMasterSeed
+ * and stepping to that config.
  */
 TEST(SimdFuzzTest, DifferentialSweepSimdVsFunctional)
 {
@@ -508,35 +578,43 @@ TEST(SimdFuzzTest, DifferentialSweepSimdVsFunctional)
   EXPECT_GT(fixed_totals.lut_accesses, 0u);
   EXPECT_GT(fixed_totals.lut_exact_hits, 0u);
   EXPECT_GT(fixed_lane_luts, 0);
+
+  // Tail-lane clamps: Fixed32 configs over the far table, whose
+  // zero-filled tail lanes clamp, at widths that leave a tail at every
+  // lane count (cols % 16 in {1, 9, 15}, hence % 8 and % 4 too). Only
+  // the real cells' clamps may count. Their knobs come from the same
+  // stream after the configs above, which stay as they were.
+  int cfg = kConfigs;
+  for (const std::size_t cols : {17, 25, 31}) {
+    const std::size_t rows = std::max<std::size_t>(
+        2, kSizes[rng() % std::size(kSizes)]);
+    const int shards = kShards[rng() % std::size(kShards)];
+    const std::uint64_t steps = 2 + rng() % 5;
+    const SolverProgram program = FarTableProgram(rows, cols);
+    std::ostringstream desc;
+    desc << "master-seed=0x" << std::hex << kMasterSeed << std::dec
+         << " config#" << cfg++ << ": far_exp " << rows << "x" << cols
+         << " precision=fixed shards=" << shards << " lut steps=" << steps;
+    SCOPED_TRACE(desc.str());
+    const auto oracle =
+        MakeFunctionalEngine(program.spec, LutFixedOptions(program));
+    const auto simd = MakeSoaEngine(program.spec, LutFixedOptions(program));
+    const FixedCounts want = RunCounting(oracle.get(), steps, 0, nullptr);
+    const FixedCounts got = RunCounting(simd.get(), steps, shards, nullptr);
+    ExpectSameState(*oracle, *simd, desc.str());
+    EXPECT_GT(want.sat_events, 0u);
+    EXPECT_EQ(got.sat_events, want.sat_events);
+    EXPECT_EQ(got.lut_accesses, want.lut_accesses);
+    EXPECT_EQ(got.lut_exact_hits, want.lut_exact_hits);
+  }
 }
 
 TEST(SimdFuzzTest, Fixed32ClampsCountOnlyRealCells)
 {
-  // exp over a table far from zero: the zero-filled lanes past a
-  // row's end index its first entry at d = -20 against saturated
-  // coefficients, so their cubic clamps. Only real cells may count,
-  // at every row width the lane masks cut differently.
-  const NonlinearFnPtr far_exp =
-      MakeFunction("far_exp", [](double x) { return std::exp(x); });
+  // The far table's tail lanes clamp (FarTableProgram); only real
+  // cells may count, at every row width the lane masks cut differently.
   for (const std::size_t cols : {1, 3, 5, 9, 13, 17}) {
-    EquationSystem sys;
-    sys.name = "far_exp";
-    sys.rows = 4;
-    sys.cols = cols;
-    sys.dt = 0.01;
-    EquationDef u;
-    u.var_name = "u";
-    u.terms.push_back(Term::Linear(0.1, SpatialOp::kLaplacian, 0));
-    u.terms.push_back(
-        Term::Nonlinear(1e-3, 0, far_exp, SpatialOp::kIdentity, 0));
-    for (std::size_t i = 0; i < sys.rows * cols; ++i) {
-      u.initial.push_back(20.0 + 0.37 * static_cast<double>(i % 21));
-    }
-    sys.equations.push_back(std::move(u));
-    SolverProgram program;
-    program.spec = Mapper::Map(sys);
-    program.lut_config.default_spec.min_p = 20.0;
-    program.lut_config.default_spec.max_p = 28.0;
+    const SolverProgram program = FarTableProgram(4, cols);
     const auto oracle =
         MakeFunctionalEngine(program.spec, LutFixedOptions(program));
     const auto simd = MakeSoaEngine(program.spec, LutFixedOptions(program));
@@ -565,11 +643,10 @@ TEST(SimdFuzzTest, Fixed32HasVectorKernels)
  * and the neighbours of the multiply's +-2^47 clamp boundary) and
  * random words.
  */
-template <typename VecI>
 void
-ExpectLaneOpsMatchFixed32(const char* isa)
+ExpectLaneOpsMatchFixed32(const lane_ops::Backend& backend)
 {
-  SCOPED_TRACE(isa);
+  SCOPED_TRACE(backend.isa);
   std::vector<std::int32_t> words = {
       INT32_MIN, INT32_MIN + 1, -65536, -32768, -32767, -1, 0, 1,
       32767, 32768, 65536, INT32_MAX - 1, INT32_MAX,
@@ -582,24 +659,20 @@ ExpectLaneOpsMatchFixed32(const char* isa)
     words.push_back(static_cast<std::int32_t>(rng() >> 40) -
                     (1 << 23));  // small words: products that fit
   }
-  constexpr int kLanes = VecI::kLanes;
+  constexpr int kLanes = lane_ops::kMaxLanes;
   std::uint64_t events = 0;
   std::uint64_t* previous = Fixed32::ExchangeSaturationCounter(&events);
   for (std::size_t i = 0; i < words.size(); ++i) {
-    std::int32_t a[kLanes];
-    std::int32_t b[kLanes];
-    for (int l = 0; l < kLanes; ++l) {
+    std::int32_t a[kLanes] = {};
+    std::int32_t b[kLanes] = {};
+    for (int l = 0; l < backend.lanes; ++l) {
       a[l] = words[i];
       b[l] = words[(i * 7 + static_cast<std::size_t>(l) * 13) % words.size()];
     }
-    const VecI va = VecI::Load(a);
-    const VecI vb = VecI::Load(b);
     unsigned sat[3] = {0, 0, 0};
     std::int32_t out[3][kLanes];
-    VecI::AddSat(va, vb, &sat[0]).Store(out[0]);
-    VecI::SubSat(va, vb, &sat[1]).Store(out[1]);
-    VecI::MulQ16(va, vb, &sat[2]).Store(out[2]);
-    for (int l = 0; l < kLanes; ++l) {
+    backend.apply(a, b, out[0], sat);
+    for (int l = 0; l < backend.lanes; ++l) {
       const Fixed32 x = Fixed32::FromRaw(a[l]);
       const Fixed32 y = Fixed32::FromRaw(b[l]);
       for (int op = 0; op < 3; ++op) {
@@ -617,9 +690,18 @@ ExpectLaneOpsMatchFixed32(const char* isa)
 
 TEST(SimdFuzzTest, LaneOpsMatchFixed32)
 {
-  ExpectLaneOpsMatchFixed32<vec::generic::VecI>("generic");
+  ExpectLaneOpsMatchFixed32(lane_ops::BackendOf<vec::generic::VecI>("generic"));
 #if defined(__SSE2__)
-  ExpectLaneOpsMatchFixed32<vec::sse2::VecI>("sse2");
+  ExpectLaneOpsMatchFixed32(lane_ops::BackendOf<vec::sse2::VecI>("sse2"));
+#endif
+#if defined(__x86_64__) || defined(_M_X64)
+  // The wide ISAs' checks run only where the CPU runs them.
+  if (SimdIsaSupported("avx2")) {
+    ExpectLaneOpsMatchFixed32(lane_ops::Avx2Backend());
+  }
+  if (SimdIsaSupported("avx512")) {
+    ExpectLaneOpsMatchFixed32(lane_ops::Avx512Backend());
+  }
 #endif
 }
 

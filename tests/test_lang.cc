@@ -515,5 +515,35 @@ TEST(CompilerTest, SemicolonsMakeOneLineInlineScenariosWork)
   EXPECT_EQ(result.scenario.default_steps, 5u);
 }
 
+TEST(CompilerTest, AGivenSideOverridesOnlyItsSideOfTheGrid)
+{
+  // rows= alone (a manifest, serve spec or --rows flag) keeps the
+  // file's cols; a side the config leaves 0 comes from `grid`, else
+  // the default.
+  const char* src =
+      "scenario s; grid 10 10; dt 0.1; steps 1; var u; d u/dt = -u; "
+      "init u = constant(value=1.0)";
+  const char* gridless =
+      "scenario s; dt 0.1; steps 1; var u; d u/dt = -u; "
+      "init u = constant(value=1.0)";
+  const struct {
+    const char* source;
+    std::size_t rows, cols, want_rows, want_cols;
+  } cases[] = {{src, 32, 0, 32, 10},     {src, 0, 7, 10, 7},
+               {src, 0, 0, 10, 10},      {src, 5, 6, 5, 6},
+               {gridless, 32, 0, 32, lang::kDefaultGridSide}};
+  for (const auto& c : cases) {
+    lang::ScenarioConfig cfg;
+    cfg.rows = c.rows;
+    cfg.cols = c.cols;
+    const lang::CompileResult result = lang::CompileSource(c.source, cfg);
+    ASSERT_TRUE(result.ok()) << lang::FormatDiags("s", result.diags);
+    EXPECT_EQ(result.scenario.system.rows, c.want_rows)
+        << c.rows << "x" << c.cols;
+    EXPECT_EQ(result.scenario.system.cols, c.want_cols)
+        << c.rows << "x" << c.cols;
+  }
+}
+
 }  // namespace
 }  // namespace cenn

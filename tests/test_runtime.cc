@@ -30,6 +30,7 @@
 #include "runtime/engine_factory.h"
 #include "runtime/job_queue.h"
 #include "runtime/job_runner.h"
+#include "runtime/model_source.h"
 #include "runtime/sharded_stepper.h"
 #include "runtime/solver_session.h"
 #include "runtime/thread_pool.h"
@@ -1068,6 +1069,33 @@ TEST(BatchRunnerTest, ScenarioFileJobsRunFromDiskAndDefaultTheirName)
   EXPECT_EQ(results[0].steps_done, 8u);
   EXPECT_NE(BatchRunner::ResultsCsv(results).find("file:" + path),
             std::string::npos);
+}
+
+TEST(BatchRunnerTest, AScenarioJobThatNamesOneSideGetsThatSide)
+{
+  // rows=32 on a `grid 10 10` scenario runs 32x10: the same checksum
+  // as rows=32 cols=10 spelled out, not the file's 10x10.
+  const std::string src =
+      "model_source=scenario s; grid 10 10; dt 0.1; steps 6; var u; "
+      "d u/dt = 0.1 * laplacian(u) - u; init u = uniform(lo=0, hi=1)\n";
+  const auto manifest = ParseManifest(
+      src + "name=one_side\nrows=32\nseed=3\n\n" +
+      src + "name=both\nrows=32\ncols=10\nseed=3\n\n" +
+      src + "name=file_grid\nseed=3\n");
+  ASSERT_EQ(manifest.size(), 3u);
+  using Grid = std::pair<std::size_t, std::size_t>;
+  EXPECT_EQ(JobGrid(manifest[0]), Grid(32, 10));
+  EXPECT_EQ(JobGrid(manifest[2]), Grid(10, 10));
+  BatchOptions options;
+  options.out_dir = ScratchDir("batch_scenario_one_side");
+  options.num_threads = 1;
+  const auto results = BatchRunner(manifest, options).RunAll();
+  ASSERT_EQ(results.size(), 3u);
+  for (const JobResult& r : results) {
+    EXPECT_EQ(r.status, JobStatus::kOk) << r.name;
+  }
+  EXPECT_EQ(results[0].checksum, results[1].checksum);
+  EXPECT_NE(results[0].checksum, results[2].checksum);
 }
 
 // ---------------------------------------------------------------------------

@@ -153,6 +153,27 @@ WaitRunning(SolverService& service, const std::string& job)
   ADD_FAILURE() << "job " << job << " never started";
 }
 
+/**
+ * Snapshot of `job`'s layer 0. "running" is visible before the worker
+ * publishes its session, so the first snapshot may draw a retryable
+ * busy; this honors the contract and retries.
+ */
+JsonValue
+SnapshotLayer0(SolverService& service, const std::string& job)
+{
+  const std::string request = JsonWriter()
+                                  .String("op", "snapshot")
+                                  .String("job", job)
+                                  .Int("layer", 0)
+                                  .Finish();
+  JsonValue snap = Call(service, request);
+  for (int i = 0; i < 1000 && snap.GetString("error") == "busy"; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    snap = Call(service, request);
+  }
+  return snap;
+}
+
 /** A spec that runs long enough to still be running when poked. */
 std::string
 BlockerSpec(const std::string& name)
@@ -819,18 +840,7 @@ TEST(ServeService, SnapshotPausesAtSliceBoundaryAndResumes)
   const std::string job = MustSubmit(service, "t", BlockerSpec("snap"));
   WaitRunning(service, job);
 
-  // "running" is visible before the worker publishes its session, so
-  // the first snapshot may draw a retryable busy — honor the contract.
-  const std::string snap_request = JsonWriter()
-                                       .String("op", "snapshot")
-                                       .String("job", job)
-                                       .Int("layer", 0)
-                                       .Finish();
-  JsonValue snap = Call(service, snap_request);
-  for (int i = 0; i < 1000 && snap.GetString("error") == "busy"; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    snap = Call(service, snap_request);
-  }
+  const JsonValue snap = SnapshotLayer0(service, job);
   ASSERT_TRUE(snap.GetBool("ok", false)) << snap.GetString("message");
   EXPECT_DOUBLE_EQ(snap.GetNumber("rows", 0), 16.0);
   EXPECT_DOUBLE_EQ(snap.GetNumber("cols", 0), 16.0);
@@ -1012,6 +1022,71 @@ TEST(ServeScenario, ScenarioFileJobsRunFromDisk)
   EXPECT_EQ(Status(service, job).GetString("model"), "file:" + path);
 }
 
+TEST(ServeScenario, SnapshotsReportTheGridTheSessionRuns)
+{
+  // Without rows= and cols= a scenario runs its own `grid`; with one
+  // side given it runs that side. The snapshot reports the session's
+  // rows and cols, beside that many values.
+  ServiceOptions options = BaseOptions(TestDir("scenario_snapshot"));
+  options.num_threads = 1;
+  SolverService service(options);
+  const std::string src =
+      "scenario s; grid 10 10; dt 0.01; var u; d u/dt = -u; "
+      "init u = constant(value=1.0)";
+  const struct {
+    const char* key;  // the one side given, or none
+    std::size_t rows, cols;
+  } cases[] = {{nullptr, 10, 10}, {"rows", 32, 10}, {"cols", 10, 7}};
+  for (const auto& c : cases) {
+    std::vector<std::pair<std::string, std::string>> spec = {
+        {"model_source", src}, {"steps", "50000000"}};
+    if (c.key != nullptr) {
+      spec.emplace_back(c.key, std::to_string(c.key[0] == 'r' ? c.rows
+                                                              : c.cols));
+    }
+    const std::string job = MustSubmit(service, "t", SpecJson(spec));
+    WaitRunning(service, job);
+    const JsonValue snap = SnapshotLayer0(service, job);
+    ASSERT_TRUE(snap.GetBool("ok", false)) << snap.GetString("message");
+    EXPECT_DOUBLE_EQ(snap.GetNumber("rows", 0), static_cast<double>(c.rows));
+    EXPECT_DOUBLE_EQ(snap.GetNumber("cols", 0), static_cast<double>(c.cols));
+    const JsonValue* values = snap.Find("values");
+    ASSERT_NE(values, nullptr);
+    EXPECT_EQ(values->array.size(), c.rows * c.cols);
+    Call(service,
+         JsonWriter().String("op", "cancel").String("job", job).Finish());
+    EXPECT_EQ(WaitResult(service, job).GetString("status"), "cancelled");
+  }
+}
+
+TEST(ServeScenario, UnnamedJobsAreNamedLikeBatch)
+{
+  // j<N>_ plus batch's stem: the model id, the scenario file's
+  // basename, or "scenario" for inline text.
+  const std::string dir = TestDir("scenario_names");
+  const std::string path = dir + "/heat.cenn";
+  {
+    std::ofstream out(path);
+    out << "scenario h\ngrid 8 8\ndt 0.1\nsteps 2\n"
+           "var u\nd u/dt = -u\ninit u = constant(value=1.0)\n";
+  }
+  SolverService service(BaseOptions(dir));
+  const auto submit_name = [&service](const std::string& spec) {
+    const JsonValue r = Call(service, SubmitLine("t", spec));
+    EXPECT_TRUE(r.GetBool("ok", false)) << r.GetString("message");
+    return r.GetString("name");
+  };
+  EXPECT_EQ(submit_name(SpecJson(
+                {{"model_source",
+                  "scenario s; dt 0.1; steps 2; var u; d u/dt = -u; "
+                  "init u = constant(value=1.0)"}})),
+            "j1_scenario");
+  EXPECT_EQ(submit_name(SpecJson({{"model_file", path}})), "j2_heat");
+  EXPECT_EQ(submit_name(SpecJson({{"model", "heat"}, {"rows", "8"},
+                                  {"cols", "8"}, {"steps", "2"}})),
+            "j3_heat");
+}
+
 TEST(ServeScenario, BadScenariosAreRejectedAtSubmitNotAtRun)
 {
   SolverService service(BaseOptions(TestDir("scenario_bad")));
@@ -1070,6 +1145,30 @@ TEST(ServeScenario, CellLimitAppliesToTheGridTheJobRuns)
   r = WaitResult(service, job);
   EXPECT_EQ(r.GetString("status"), "ok");
   EXPECT_EQ(r.GetString("steps_done"), "4");
+}
+
+TEST(ServeScenario, CellLimitJudgesTheOneSideAJobNames)
+{
+  // rows=32 on a `grid 10 10` scenario runs 32x10 (320 cells), so a
+  // 300-cell limit rejects it, though the file's own grid would fit.
+  ServiceOptions options = BaseOptions(TestDir("scenario_cells_one_side"));
+  options.max_cells = 300;
+  SolverService service(options);
+  const std::string small =
+      "scenario small; grid 10 10; dt 0.1; steps 4; var u; d u/dt = -u; "
+      "init u = constant(value=1.0)";
+  JsonValue r = Call(service, SubmitLine("t", SpecJson({{"model_source",
+                                                         small},
+                                                        {"rows", "32"}})));
+  EXPECT_FALSE(r.GetBool("ok", true));
+  EXPECT_EQ(r.GetString("error"), "invalid");
+  EXPECT_NE(r.GetString("message").find("32x10"), std::string::npos)
+      << r.GetString("message");
+  EXPECT_EQ(service.Jobs().TotalCreated(), 0u);
+
+  const std::string job =
+      MustSubmit(service, "t", SpecJson({{"model_source", small}}));
+  EXPECT_EQ(WaitResult(service, job).GetString("status"), "ok");
 }
 
 TEST(ServeFuzz, ShardsAboveTheHardwareThreadCountAreRejected)
